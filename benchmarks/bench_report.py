@@ -631,8 +631,6 @@ def bench_partitioned_transient() -> dict:
             "bypass_fraction": (bypassed / max(active + bypassed, 1)),
             "interface_solve_reuses": int(
                 part["metrics"]["interface_solve_reuses"]),
-            "relax_escalations": int(
-                part["metrics"]["relax_escalations"]),
         }
     return out
 
@@ -1025,7 +1023,7 @@ def main(argv=None) -> int:
               f"{'' if hp['mc_scaling']['gated'] else ', not gated'})")
     else:
         print("  compiled hot path: no compiled tier available "
-              "(numba absent and no working C compiler)")
+              "(no working C compiler)")
     sv = report["service_load"]
     print(f"  service load: {sv['jobs']} jobs in "
           f"{sv['engine_dispatches']} engine dispatches "
@@ -1140,8 +1138,8 @@ def main(argv=None) -> int:
                 "lazy-vs-eager decimated summaries diverged")
         if not hp["compiled_available"]:
             failures.append(
-                "compiled kernel tier unavailable (numba absent and "
-                "no working C compiler) — the ISSUE 6 gates need it")
+                "compiled kernel tier unavailable (no working C "
+                "compiler) — the compiled hot-path gates need it")
         else:
             if hp["rca32_transient"]["speedup"] < HOT_SPEEDUP_FLOOR:
                 failures.append(

@@ -21,13 +21,32 @@ Both modes are **event-aware**: waveform breakpoints (PULSE edges, PWL
 corners — see :meth:`Waveform.breakpoints`) are landed on exactly, so a
 source edge falling between two natural steps is never smeared.
 
+The two stepping loops here (:func:`_fixed_loop`, :func:`_adaptive_loop`)
+are the only step controllers in the package.  They drive the state as
+a ``(lanes, n)`` stack through a small *stepper* seam, so the
+monolithic and partitioned engines (:class:`_ScalarStepper`, one lane)
+and the lane-batched engine (``batch_sim._RunState``, ``B`` lanes)
+share breakpoint landing, prediction, the worst-lane LTE, the PI
+update and Newton-failure handling.  A stepper provides:
+
+* ``x`` / ``alive`` / ``n_nodes`` — the accepted ``(lanes, n)`` state
+  stack, the live-lane mask and the number of voltage unknowns;
+* ``solve(t_next, step, x_start) -> (x_new, failed_lanes)`` — one
+  implicit step from ``x`` (``x_start`` seeds Newton; ``None`` starts
+  from ``x``);
+* ``accept(t_next, x_new, step)`` — commit a converged step;
+* ``give_up(failed, t, step)`` — Newton failed at an irreducible step:
+  the scalar engine raises, the lane batch drops the failing lanes;
+* ``restart_lanes(t)`` — lanes whose predictor history restarts at the
+  breakpoint ``t`` just landed on.
+
 See ``docs/transient.md`` for the integrator theory, the controller
 constants, and tuning guidance.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,58 +107,146 @@ def _collect_breakpoints(circuit: Circuit, tstop: float) -> List[float]:
     return sorted(times)
 
 
-def _quadratic_extrapolate(ts: Sequence[float], xs: Sequence[np.ndarray],
-                           t: float) -> np.ndarray:
-    """Lagrange extrapolation of three history points at time ``t``."""
-    t0, t1, t2 = ts
-    l0 = (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2))
-    l1 = (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2))
-    l2 = (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1))
-    return l0 * xs[0] + l1 * xs[1] + l2 * xs[2]
+def _plan_step(breakpoints: List[float], bp_idx: int, t: float, h: float,
+               t_end: float, eps: float
+               ) -> Tuple[int, float, float, bool]:
+    """Next step from ``t`` of nominal size ``h``.
 
-
-def _predict(hist_t: List[float], hist_x: List[np.ndarray], t_next: float,
-             method: str) -> Tuple[Optional[np.ndarray], float]:
-    """Predictor and LTE divisor for the step ending at ``t_next``.
-
-    Returns ``(x_pred, divisor)`` where the method's local truncation
-    error is estimated as ``|x_corrector - x_pred| / divisor``; the
-    divisors come from the uniform-step error constants (trapezoidal
-    LTE ``-h^3 x'''/12`` vs quadratic-extrapolation error ``h^3 x'''``;
-    BE LTE ``h^2 x''/2`` vs linear-extrapolation error ``h^2 x''``).
-    ``(None, 1.0)`` when there is not enough smooth history.
+    Skips breakpoints already passed and truncates the step to land
+    exactly on the next one.  Returns ``(bp_idx, t_next, step,
+    landing)`` where ``bp_idx`` indexes the first breakpoint after
+    ``t`` and ``landing`` says the step ends on it.
     """
-    if method == "trap" and len(hist_t) >= 3:
-        pred = _quadratic_extrapolate(hist_t[-3:], hist_x[-3:], t_next)
-        return pred, 11.0
-    if len(hist_t) >= 2:
-        t0, t1 = hist_t[-2], hist_t[-1]
-        x0, x1 = hist_x[-2], hist_x[-1]
-        pred = x1 + (x1 - x0) * ((t_next - t1) / (t1 - t0))
-        # Linear predictor under a 2nd-order corrector overestimates
-        # the LTE (conservative); only used while history warms up.
-        return pred, 3.0 if method == "be" else 2.0
-    return None, 1.0
+    n = len(breakpoints)
+    while bp_idx < n and breakpoints[bp_idx] <= t + eps:
+        bp_idx += 1
+    step = min(h, t_end - t)
+    landing = bp_idx < n and breakpoints[bp_idx] - t <= step * (1.0 + 1e-12)
+    if landing:
+        t_next = breakpoints[bp_idx]
+        return bp_idx, t_next, t_next - t, True
+    return bp_idx, t + step, step, False
 
 
-def _stateful_elements(circuit: Circuit) -> List:
-    """Elements whose ``accept_step`` actually commits state.
+def _predict(hist: List[Tuple[float, np.ndarray]], hist_count: np.ndarray,
+             t_next: float, method: str, x: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-lane predictor stack, LTE divisors and has-predictor mask
+    for the step ending at ``t_next``.
 
-    Most elements inherit the base no-op; a 32-bit adder is ~1200
-    elements of which ~30 (the trap capacitors / inductors) keep
-    per-step state, so skipping the no-ops removes the dominant
-    Python-call cost of step acceptance."""
-    return [el for el in circuit.elements
-            if type(el).accept_step is not Element.accept_step]
+    ``hist_count[lane]`` counts the smooth history points in ``hist``
+    for that lane (a breakpoint restart resets it to 1); lanes without
+    a predictor keep their row of ``x``.  The LTE is estimated as
+    ``|x_corrector - x_pred| / divisor``, the divisors coming from the
+    uniform-step error constants (trapezoidal LTE ``-h^3 x'''/12`` vs
+    quadratic-extrapolation error ``h^3 x'''``; BE LTE ``h^2 x''/2``
+    vs linear-extrapolation error ``h^2 x''``).
+    """
+    divisor = np.ones(hist_count.shape[0])
+    has_pred = hist_count >= 2
+    quad = hist_count >= 3 if method == "trap" \
+        else np.zeros_like(has_pred)
+    lin = has_pred & ~quad
+    x_pred = x
+    if lin.any():
+        (t1, x1), (t2, x2) = hist[-2], hist[-1]
+        x_pred = _select(lin, x2 + (x2 - x1) * ((t_next - t2) / (t2 - t1)),
+                         x_pred)
+        divisor[lin] = 3.0 if method == "be" else 2.0
+    if quad.any():
+        (t0, x0), (t1, x1), (t2, x2) = hist[-3], hist[-2], hist[-1]
+        l0 = (t_next - t1) * (t_next - t2) / ((t0 - t1) * (t0 - t2))
+        l1 = (t_next - t0) * (t_next - t2) / ((t1 - t0) * (t1 - t2))
+        l2 = (t_next - t0) * (t_next - t1) / ((t2 - t0) * (t2 - t1))
+        x_pred = _select(quad, l0 * x0 + l1 * x1 + l2 * x2, x_pred)
+        divisor[quad] = 11.0
+    return x_pred, divisor, has_pred
+
+
+def _select(mask: np.ndarray, new: np.ndarray,
+            old: np.ndarray) -> np.ndarray:
+    """Rows of ``new`` on the lanes in ``mask``, of ``old`` elsewhere."""
+    if mask.all():
+        return new
+    out = old.copy()
+    out[mask] = new[mask]
+    return out
+
+
+class _StepPlan(NamedTuple):
+    """Validated stepping arguments of one transient run."""
+
+    adaptive: bool
+    dt: Optional[float]
+    rtol: Optional[float]
+    atol: Optional[float]
+    dt_min: Optional[float]
+    dt_max: Optional[float]
+    max_halvings: Optional[int]
+
+
+def _step_plan(tstop: float, method: str, dt: Optional[float],
+               adaptive: Optional[bool], rtol: Optional[float],
+               atol: Optional[float], dt_min: Optional[float],
+               dt_max: Optional[float],
+               max_halvings: Optional[int]) -> _StepPlan:
+    """Validate the stepping arguments shared by :func:`transient` and
+    ``batch_transient`` and fill in the mode defaults."""
+    if method not in ("be", "trap"):
+        raise ParameterError(f"method must be 'be' or 'trap': {method!r}")
+    if adaptive is None:
+        adaptive = dt is None
+    if not adaptive:
+        if dt is None:
+            raise ParameterError(
+                "fixed-step mode needs dt (omit it or pass adaptive=True "
+                "for the adaptive engine)"
+            )
+        if dt <= 0.0 or dt > tstop:
+            raise ParameterError(f"dt must be in (0, tstop]: {dt!r}")
+        for name, value in (("rtol", rtol), ("atol", atol),
+                            ("dt_min", dt_min), ("dt_max", dt_max)):
+            if value is not None:
+                raise ParameterError(
+                    f"{name} is an adaptive-mode option; fixed-step "
+                    f"accuracy is set by dt alone"
+                )
+        return _StepPlan(False, dt, None, None, None, None,
+                         8 if max_halvings is None else max_halvings)
+    if max_halvings is not None:
+        raise ParameterError(
+            "max_halvings is a fixed-step option; adaptive step "
+            "rejection is governed by rtol/atol/dt_min"
+        )
+    rtol = DEFAULT_RTOL if rtol is None else float(rtol)
+    atol = DEFAULT_ATOL if atol is None else float(atol)
+    if rtol < 0.0 or atol < 0.0 or rtol + atol <= 0.0:
+        raise ParameterError(
+            f"need rtol, atol >= 0 and rtol + atol > 0: "
+            f"rtol={rtol!r}, atol={atol!r}"
+        )
+    dt_max = tstop / 50.0 if dt_max is None else float(dt_max)
+    dt_min = tstop * 1e-9 if dt_min is None else float(dt_min)
+    if not 0.0 < dt_min <= dt_max <= tstop:
+        raise ParameterError(
+            f"need 0 < dt_min <= dt_max <= tstop: dt_min={dt_min!r}, "
+            f"dt_max={dt_max!r}"
+        )
+    if dt is not None and dt <= 0.0:
+        raise ParameterError(f"initial dt must be > 0: {dt!r}")
+    return _StepPlan(True, dt, rtol, atol, dt_min, dt_max, None)
 
 
 class _StepRecorder:
-    """Accumulates accepted steps and finalises the Dataset."""
+    """Commits accepted steps: element state plus an in-memory row.
+
+    :meth:`accept` updates the elements that keep per-step state and
+    hands the row to :meth:`_record`; :meth:`dataset` finalises the
+    Dataset.
+    """
 
     def __init__(self, circuit: Circuit, x0: np.ndarray) -> None:
         self.circuit = circuit
-        self.times = [0.0]
-        self.solutions = [x0.copy()]
         # One reusable context for the whole run: ``accept`` used to
         # build a throwaway StampContext per accepted step, which on
         # long adaptive runs was allocator churn for no benefit (the
@@ -148,7 +255,16 @@ class _StepRecorder:
             matrix=np.zeros((0, 0)), rhs=np.zeros(0),
             node_index=circuit.node_index, x=x0, analysis="tran",
         )
-        self._accepting = _stateful_elements(circuit)
+        # Most elements inherit the base no-op ``accept_step``; a
+        # 32-bit adder is ~1200 elements of which ~30 (the trap
+        # capacitors / inductors) keep per-step state, so skipping the
+        # no-ops removes the dominant Python-call cost of acceptance.
+        self._accepting = [el for el in circuit.elements
+                           if type(el).accept_step
+                           is not Element.accept_step]
+        self.times: List[float] = []
+        self.solutions: List[np.ndarray] = []
+        self._record(0.0, x0)
 
     def accept(self, t: float, x: np.ndarray, x_prev: np.ndarray,
                dt: float, method: str) -> None:
@@ -161,58 +277,69 @@ class _StepRecorder:
         ctx.method = method
         for el in self._accepting:
             el.accept_step(ctx)
+        self._record(t, x)
+
+    def _record(self, t: float, x: np.ndarray) -> None:
         self.times.append(t)
         self.solutions.append(x.copy())
 
     def dataset(self, record_currents) -> Dataset:
-        circuit = self.circuit
-        data = np.asarray(self.solutions)
-        dataset = Dataset("time", self.times)
-        for node, idx in circuit.node_index.items():
-            dataset.add_trace(f"v({node})", data[:, idx])
-        if record_currents:
-            for el in circuit.iter_elements(VoltageSource):
-                dataset.add_trace(f"i({el.name})", data[:, el.aux_index])
-        if record_currents is True:
-            # CNFET current traces in one vectorized post-pass per
-            # element (the per-row scalar re-evaluation used to rival
-            # the Newton loop itself on long runs); skipped in the
-            # "sources" mode, whose branch currents above are free
-            # columns of the solution.
-            node_index = circuit.node_index
-            zeros = np.zeros(data.shape[0])
-
-            def node_trace(node: str) -> np.ndarray:
-                idx = node_index.get(node, -1)
-                return data[:, idx] if idx >= 0 else zeros
-
-            for el in circuit.iter_elements(CNFETElement):
-                d_node, g_node, s_node = el.nodes
-                vs_col = node_trace(s_node)
-                vgs = node_trace(g_node) - vs_col
-                vds = node_trace(d_node) - vs_col
-                if el.polarity == "p":
-                    vgs, vds = -vgs, -vds
-                series = el.backend.ids_many(vgs, vds)
-                if el.polarity == "p":
-                    series = -series
-                dataset.add_trace(f"i({el.name})", series)
-        return dataset
+        return _solution_dataset(self.circuit, self.times,
+                                 np.asarray(self.solutions),
+                                 record_currents)
 
 
-class _StoreRecorder:
+def _solution_dataset(circuit: Circuit, times: Sequence[float],
+                      data: np.ndarray,
+                      record_currents: Union[bool, str]) -> Dataset:
+    """Dataset over solution rows ``data`` (one per time point).
+
+    Node voltages always; with ``record_currents`` also the
+    voltage-source branch currents (free columns of the solution);
+    with ``record_currents is True`` also the CNFET drain currents, in
+    one vectorized post-pass per element (the per-row scalar
+    re-evaluation used to rival the Newton loop itself on long runs).
+    """
+    dataset = Dataset("time", times)
+    node_index = circuit.node_index
+    for node, idx in node_index.items():
+        dataset.add_trace(f"v({node})", data[:, idx])
+    if record_currents:
+        for el in circuit.iter_elements(VoltageSource):
+            dataset.add_trace(f"i({el.name})", data[:, el.aux_index])
+    if record_currents is True:
+        zeros = np.zeros(data.shape[0])
+
+        def node_trace(node: str) -> np.ndarray:
+            idx = node_index.get(node, -1)
+            return data[:, idx] if idx >= 0 else zeros
+
+        for el in circuit.iter_elements(CNFETElement):
+            d_node, g_node, s_node = el.nodes
+            vs_col = node_trace(s_node)
+            vgs = node_trace(g_node) - vs_col
+            vds = node_trace(d_node) - vs_col
+            if el.polarity == "p":
+                vgs, vds = -vgs, -vds
+            series = el.backend.ids_many(vgs, vds)
+            if el.polarity == "p":
+                series = -series
+            dataset.add_trace(f"i({el.name})", series)
+    return dataset
+
+
+class _StoreRecorder(_StepRecorder):
     """Streams accepted steps into a :class:`WaveformStore`.
 
-    Drop-in for :class:`_StepRecorder` (same ``accept`` contract —
-    element state commits included) except rows leave RAM every
-    ``chunk_rows`` steps; ``dataset()`` returns a lazy Dataset over
-    the finished store.
+    Same ``accept`` contract as :class:`_StepRecorder` (element state
+    commits included) except rows leave RAM every ``chunk_rows``
+    steps; ``dataset()`` returns a lazy Dataset over the finished
+    store.
     """
 
     def __init__(self, circuit: Circuit, x0: np.ndarray,
                  directory, chunk_rows: int,
                  record_currents: Union[bool, str]) -> None:
-        self.circuit = circuit
         n = circuit.dimension()
         columns = [f"aux{i}" for i in range(n + 1)]
         columns[0] = "time"
@@ -230,26 +357,9 @@ class _StoreRecorder:
                                           exposed=exposed,
                                           chunk_rows=chunk_rows)
         self._row = np.empty(n + 1)
-        self._ctx = StampContext(
-            matrix=np.zeros((0, 0)), rhs=np.zeros(0),
-            node_index=circuit.node_index, x=x0, analysis="tran",
-        )
-        self._row[0] = 0.0
-        self._row[1:] = x0
-        self.store.append(self._row)
-        self._accepting = _stateful_elements(circuit)
+        super().__init__(circuit, x0)
 
-    def accept(self, t: float, x: np.ndarray, x_prev: np.ndarray,
-               dt: float, method: str) -> None:
-        """Commit a converged step: element state update + a store row."""
-        ctx = self._ctx
-        ctx.x = x
-        ctx.time = t
-        ctx.dt = dt
-        ctx.x_prev = x_prev
-        ctx.method = method
-        for el in self._accepting:
-            el.accept_step(ctx)
+    def _record(self, t: float, x: np.ndarray) -> None:
         self._row[0] = t
         self._row[1:] = x
         self.store.append(self._row)
@@ -353,9 +463,10 @@ def transient(
         silently ignored.
     stats : dict, optional
         Accumulates step statistics: ``steps`` (accepted), ``solves``,
-        ``iterations`` (Newton), and in adaptive mode additionally
-        ``rejected_lte``, ``rejected_newton``, ``breakpoints_hit``,
-        ``dt_smallest``, ``dt_largest``.
+        ``iterations`` (Newton), ``rejected_newton``,
+        ``breakpoints_hit``, and in adaptive mode additionally
+        ``rejected_lte``, ``dt_smallest``, ``dt_largest`` (each key
+        created on first use).
     adaptive : bool, optional
         Force the stepping mode; default ``dt is None``.
     rtol, atol : float, optional
@@ -416,48 +527,8 @@ def transient(
     """
     if tstop <= 0.0:
         raise ParameterError(f"tstop must be > 0: {tstop!r}")
-    if method not in ("be", "trap"):
-        raise ParameterError(f"method must be 'be' or 'trap': {method!r}")
-    if adaptive is None:
-        adaptive = dt is None
-    if not adaptive:
-        if dt is None:
-            raise ParameterError(
-                "fixed-step mode needs dt (omit it or pass adaptive=True "
-                "for the adaptive engine)"
-            )
-        if dt <= 0.0 or dt > tstop:
-            raise ParameterError(f"dt must be in (0, tstop]: {dt!r}")
-        for name, value in (("rtol", rtol), ("atol", atol),
-                            ("dt_min", dt_min), ("dt_max", dt_max)):
-            if value is not None:
-                raise ParameterError(
-                    f"{name} is an adaptive-mode option; fixed-step "
-                    f"accuracy is set by dt alone"
-                )
-        max_halvings = 8 if max_halvings is None else max_halvings
-    else:
-        if max_halvings is not None:
-            raise ParameterError(
-                "max_halvings is a fixed-step option; adaptive step "
-                "rejection is governed by rtol/atol/dt_min"
-            )
-        rtol = DEFAULT_RTOL if rtol is None else float(rtol)
-        atol = DEFAULT_ATOL if atol is None else float(atol)
-        if rtol < 0.0 or atol < 0.0 or rtol + atol <= 0.0:
-            raise ParameterError(
-                f"need rtol, atol >= 0 and rtol + atol > 0: "
-                f"rtol={rtol!r}, atol={atol!r}"
-            )
-        dt_max = tstop / 50.0 if dt_max is None else float(dt_max)
-        dt_min = tstop * 1e-9 if dt_min is None else float(dt_min)
-        if not 0.0 < dt_min <= dt_max <= tstop:
-            raise ParameterError(
-                f"need 0 < dt_min <= dt_max <= tstop: dt_min={dt_min!r}, "
-                f"dt_max={dt_max!r}"
-            )
-        if dt is not None and dt <= 0.0:
-            raise ParameterError(f"initial dt must be > 0: {dt!r}")
+    plan = _step_plan(tstop, method, dt, adaptive, rtol, atol, dt_min,
+                      dt_max, max_halvings)
     if store is not None and record_currents is True:
         raise ParameterError(
             "store mode needs record_currents=False or 'sources': the "
@@ -499,99 +570,127 @@ def transient(
         assembler = PartitionedAssembler(circuit, part, bypass_tol=tol)
     else:
         assembler = TwoPhaseAssembler(circuit, backend=backend)
+    run_stats = {} if stats is None else stats
+    # The caller's counters as they stood before an escalatable
+    # attempt: a failed partitioned run must leave no steps or
+    # iterations behind for the monolithic re-run to add to.
+    before = dict(run_stats) if part is not None and escalate else None
+    stepper = _ScalarStepper(circuit, x, recorder, assembler, options,
+                             method, run_stats, cancel)
     try:
-        if adaptive:
-            _adaptive_loop(circuit, tstop, method, options, x, recorder,
-                           assembler, breakpoints, rtol, atol, dt_min,
-                           dt_max, dt, stats, cancel)
-        else:
-            _fixed_loop(circuit, tstop, dt, method, options, x, recorder,
-                        assembler, breakpoints, max_halvings, stats,
-                        cancel)
+        loop = _adaptive_loop if plan.adaptive else _fixed_loop
+        loop(stepper, tstop, breakpoints, method, plan, run_stats)
     except AnalysisError:
-        if part is None or not escalate:
+        if before is None:
             raise
         # "auto" contract: a partitioned run that cannot converge is
         # re-run monolithically from scratch (element transient state
         # is reset by the recursive call).
-        if stats is not None:
-            stats["partition_escalated"] = \
-                stats.get("partition_escalated", 0) + 1
+        run_stats.clear()
+        run_stats.update(before)
+        run_stats["partition_escalated"] = \
+            run_stats.get("partition_escalated", 0) + 1
         return transient(
             circuit, tstop, dt, method, options, record_currents, x0,
-            max_halvings, stats, adaptive=adaptive, rtol=rtol, atol=atol,
-            dt_min=dt_min, dt_max=dt_max,
+            max_halvings, run_stats, adaptive=adaptive, rtol=rtol,
+            atol=atol, dt_min=dt_min, dt_max=dt_max,
             extra_breakpoints=extra_breakpoints, backend=backend,
             cancel=cancel, partition="off", store=store,
             store_chunk_rows=store_chunk_rows,
         )
-    if part is not None and stats is not None:
+    if part is not None:
         for key, value in assembler.stats.items():
-            stats[f"partition_{key}"] = value
+            run_stats[f"partition_{key}"] = value
     return recorder.dataset(record_currents)
 
 
-def _next_breakpoint(breakpoints: List[float], bp_idx: int, t: float,
-                     eps: float) -> int:
-    """Index of the first breakpoint strictly after ``t`` (+ eps)."""
-    n = len(breakpoints)
-    while bp_idx < n and breakpoints[bp_idx] <= t + eps:
-        bp_idx += 1
-    return bp_idx
+class _ScalarStepper:
+    """One-lane stepper over :func:`newton_solve` (see the module
+    docstring): the monolithic :class:`TwoPhaseAssembler` or the
+    :class:`PartitionedAssembler`, its state viewed as a ``(1, n)``
+    stack so the shared loops treat it like a one-lane batch."""
+
+    def __init__(self, circuit: Circuit, x: np.ndarray, recorder,
+                 assembler, options: NewtonOptions, method: str,
+                 stats: dict, cancel: Optional[CancelToken]) -> None:
+        self.circuit = circuit
+        self.x = x[None, :]
+        self.alive = np.ones(1, dtype=bool)
+        self.n_nodes = len(circuit.node_index)
+        self.recorder = recorder
+        self.options = options
+        self.method = method
+        self._newton = dict(analysis="tran", method=method,
+                            assembler=assembler, stats=stats,
+                            cancel=cancel)
+
+    def solve(self, t_next: float, step: float,
+              x_start: Optional[np.ndarray]
+              ) -> Tuple[np.ndarray, List[int]]:
+        x = self.x[0]
+        try:
+            x_next = newton_solve(
+                self.circuit, x if x_start is None else x_start[0],
+                self.options, time=t_next, dt=step, x_prev=x,
+                **self._newton)
+        except AnalysisError:
+            return self.x, [0]
+        return x_next[None, :], []
+
+    def accept(self, t_next: float, x_new: np.ndarray,
+               step: float) -> None:
+        self.recorder.accept(t_next, x_new[0], self.x[0], step,
+                             self.method)
+        self.x = x_new
+
+    def give_up(self, failed: List[int], t: float, step: float) -> None:
+        raise AnalysisError(
+            f"transient stalled at t={t:.3e} s: Newton failed at an "
+            f"irreducible step ({step:.3e} s)"
+        )
+
+    def restart_lanes(self, t: float) -> List[int]:
+        return [0]
 
 
-def _fixed_loop(circuit: Circuit, tstop: float, dt: float, method: str,
-                options: NewtonOptions, x: np.ndarray,
-                recorder: _StepRecorder, assembler: TwoPhaseAssembler,
-                breakpoints: List[float], max_halvings: int,
-                stats: Optional[dict],
-                cancel: Optional[CancelToken] = None) -> None:
-    """Legacy fixed-step march with local halving on Newton failure.
+def _count(stats: dict, key: str) -> None:
+    stats[key] = stats.get(key, 0) + 1
+
+
+def _fixed_loop(stepper, t_end: float, breakpoints: List[float],
+                method: str, plan: _StepPlan, stats: dict) -> None:
+    """Fixed-step march with local halving on Newton failure.
 
     Byte-for-byte the historical engine when the circuit has no source
     breakpoints; otherwise steps are truncated to land exactly on each
-    breakpoint before resuming the ``dt`` cadence.
+    breakpoint before resuming the ``dt`` cadence.  A failure with
+    ``max_halvings`` spent goes to ``stepper.give_up`` and the step is
+    retried by whatever lanes remain.
     """
+    dt = current_dt = plan.dt
+    max_halvings = plan.max_halvings
     t = 0.0
-    current_dt = dt
     halvings = 0
     bp_idx = 0
-    eps = 1e-15 * tstop
-    while t < tstop - eps:
-        bp_idx = _next_breakpoint(breakpoints, bp_idx, t, eps)
-        step = min(current_dt, tstop - t)
-        landing = (bp_idx < len(breakpoints)
-                   and breakpoints[bp_idx] - t <= step * (1.0 + 1e-12))
-        if landing:
-            t_next = breakpoints[bp_idx]
-            step = t_next - t
-        else:
-            t_next = t + step
-        try:
-            x_next = newton_solve(
-                circuit, x, options, analysis="tran", time=t_next,
-                dt=step, x_prev=x, method=method, assembler=assembler,
-                stats=stats, cancel=cancel,
-            )
-        except AnalysisError:
+    eps = 1e-15 * t_end
+    while stepper.alive.any() and t < t_end - eps:
+        bp_idx, t_next, step, landing = _plan_step(
+            breakpoints, bp_idx, t, current_dt, t_end, eps)
+        x_new, failed = stepper.solve(t_next, step, None)
+        if failed:
+            _count(stats, "rejected_newton")
             if halvings >= max_halvings:
-                raise AnalysisError(
-                    f"transient stalled at t={t:.3e} s even at "
-                    f"dt={step:.3e} s"
-                ) from None
-            current_dt = step / 2.0
-            halvings += 1
+                stepper.give_up(failed, t, step)
+            else:
+                current_dt = step / 2.0
+                halvings += 1
             continue
-        recorder.accept(t_next, x_next, x, step, method)
+        stepper.accept(t_next, x_new, step)
         t = t_next
-        x = x_next
+        _count(stats, "steps")
         if landing:
             bp_idx += 1
-            if stats is not None:
-                stats["breakpoints_hit"] = \
-                    stats.get("breakpoints_hit", 0) + 1
-        if stats is not None:
-            stats["steps"] = stats.get("steps", 0) + 1
+            _count(stats, "breakpoints_hit")
         # Re-double after reductions.  Gating on current_dt (not the
         # halvings counter) matters with breakpoints: one Newton
         # failure on a breakpoint-sliver step can cut current_dt far
@@ -604,81 +703,68 @@ def _fixed_loop(circuit: Circuit, tstop: float, dt: float, method: str,
             halvings = max(0, halvings - 1)
 
 
-def _adaptive_loop(circuit: Circuit, tstop: float, method: str,
-                   options: NewtonOptions, x: np.ndarray,
-                   recorder: _StepRecorder, assembler: TwoPhaseAssembler,
-                   breakpoints: List[float], rtol: float, atol: float,
-                   dt_min: float, dt_max: float, dt0: Optional[float],
-                   stats: Optional[dict],
-                   cancel: Optional[CancelToken] = None) -> None:
+def _adaptive_loop(stepper, t_end: float, breakpoints: List[float],
+                   method: str, plan: _StepPlan, stats: dict) -> None:
     """Variable-step LTE-controlled integration (see module docstring).
 
     Controller: predictor–corrector LTE estimate over the voltage
-    unknowns, weighted by ``atol + rtol * |v|``; accept when the scaled
-    error ``err <= 1``; PI step update ``h *= 0.9 err^(-0.7/k)
+    unknowns, weighted by ``atol + rtol * |v|``, taken as the *largest*
+    scaled error over the live lanes that have a predictor; accept
+    when ``err <= 1``; PI step update ``h *= 0.9 err^(-0.7/k)
     err_prev^(0.4/k)`` with ``k = order + 1``.  Newton failures shrink
     the step 4x through the same rejection path.  Breakpoints are
-    landed on exactly; the solution history (and so the predictor) is
-    restarted across them because the derivative is discontinuous.
+    landed on exactly; the predictor history of the lanes
+    ``stepper.restart_lanes`` names is restarted across them because
+    the derivative is discontinuous there.
     """
-    n_nodes = len(circuit.node_index)
+    rtol, atol = plan.rtol, plan.atol
+    dt_min, dt_max = plan.dt_min, plan.dt_max
+    n_nodes = stepper.n_nodes
     k_order = 2 if method == "be" else 3
     t = 0.0
-    h = min(dt_max, tstop / 1000.0) if dt0 is None else min(dt0, dt_max)
+    h = min(dt_max, t_end / 1000.0) if plan.dt is None \
+        else min(plan.dt, dt_max)
     err_prev = 1.0
     bp_idx = 0
-    eps = 1e-15 * tstop
+    eps = 1e-15 * t_end
     accepted = 0
-    hist_t: List[float] = [0.0]
-    hist_x: List[np.ndarray] = [x.copy()]
-    while t < tstop - eps:
-        bp_idx = _next_breakpoint(breakpoints, bp_idx, t, eps)
+    hist: List[Tuple[float, np.ndarray]] = [(0.0, stepper.x.copy())]
+    hist_count = np.ones(stepper.x.shape[0], dtype=int)
+    while stepper.alive.any() and t < t_end - eps:
         h = min(max(h, dt_min), dt_max)
-        step = min(h, tstop - t)
-        landing = (bp_idx < len(breakpoints)
-                   and breakpoints[bp_idx] - t <= step * (1.0 + 1e-12))
-        if landing:
-            t_next = breakpoints[bp_idx]
-            step = t_next - t
-        else:
-            t_next = t + step
-        x_pred, divisor = _predict(hist_t, hist_x, t_next, method)
+        bp_idx, t_next, step, landing = _plan_step(
+            breakpoints, bp_idx, t, h, t_end, eps)
+        x = stepper.x
         # The predictor doubles as the Newton starting point: an
         # extrapolated start typically converges in 1-2 iterations
         # where restarting from x_prev needs several.
-        x_start = x if x_pred is None else x_pred
-        try:
-            x_next = newton_solve(
-                circuit, x_start, options, analysis="tran", time=t_next,
-                dt=step, x_prev=x, method=method, assembler=assembler,
-                stats=stats, cancel=cancel,
-            )
-        except AnalysisError:
-            if stats is not None:
-                stats["rejected_newton"] = \
-                    stats.get("rejected_newton", 0) + 1
+        x_pred, divisor, has_pred = _predict(hist, hist_count, t_next,
+                                             method, x)
+        x_new, failed = stepper.solve(t_next, step, x_pred)
+        if failed:
+            _count(stats, "rejected_newton")
             # A retry is only meaningful if the next attempt can be
             # genuinely smaller; dt_min floors the controller, and a
             # breakpoint sliver shorter than dt_min cannot shrink at
-            # all (the landing time is fixed), so both stall here.
+            # all (the landing time is fixed), so both give up here.
             shrunk = max(step * _NEWTON_SHRINK, dt_min)
             if shrunk >= step * (1.0 - 1e-12):
-                raise AnalysisError(
-                    f"transient stalled at t={t:.3e} s: Newton failed "
-                    f"at an irreducible step ({step:.3e} s, dt_min="
-                    f"{dt_min:.3e} s)"
-                ) from None
-            h = shrunk
+                stepper.give_up(failed, t, step)
+            else:
+                h = shrunk
             continue
 
         err = None
-        if x_pred is not None:
-            v_now = np.abs(x[:n_nodes])
-            v_next = np.abs(x_next[:n_nodes])
+        scoring = stepper.alive & has_pred
+        if scoring.any():
+            lanes = np.flatnonzero(scoring)
+            v_now = np.abs(x[lanes, :n_nodes])
+            v_next = np.abs(x_new[lanes, :n_nodes])
             weight = atol + rtol * np.maximum(v_now, v_next)
-            diff = np.abs(x_next[:n_nodes] - x_pred[:n_nodes])
-            err = float(np.max(diff / weight)) / divisor if n_nodes \
-                else 0.0
+            diff = np.abs(x_new[lanes, :n_nodes] - x_pred[lanes, :n_nodes])
+            lane_err = (diff / weight).max(axis=1) / divisor[lanes] \
+                if n_nodes else np.zeros(lanes.size)
+            err = float(lane_err.max())
         if err is not None and err > 1.0:
             shrunk = max(
                 step * min(0.5, max(0.1,
@@ -686,28 +772,23 @@ def _adaptive_loop(circuit: Circuit, tstop: float, method: str,
                 dt_min,
             )
             if shrunk < step * (1.0 - 1e-12):
-                if stats is not None:
-                    stats["rejected_lte"] = \
-                        stats.get("rejected_lte", 0) + 1
+                _count(stats, "rejected_lte")
                 h = shrunk
                 continue
             # The step cannot shrink (dt_min floor or an irreducible
             # breakpoint sliver): accept it as the best available.
 
-        recorder.accept(t_next, x_next, x, step, method)
+        stepper.accept(t_next, x_new, step)
         t = t_next
-        x = x_next
         accepted += 1
         if accepted > _MAX_ACCEPTED_STEPS:
             raise AnalysisError(
                 f"transient exceeded {_MAX_ACCEPTED_STEPS} accepted "
                 f"steps; loosen rtol/atol or raise dt_min"
             )
-        if stats is not None:
-            stats["steps"] = stats.get("steps", 0) + 1
-            stats["dt_smallest"] = min(stats.get("dt_smallest", step),
-                                       step)
-            stats["dt_largest"] = max(stats.get("dt_largest", step), step)
+        _count(stats, "steps")
+        stats["dt_smallest"] = min(stats.get("dt_smallest", step), step)
+        stats["dt_largest"] = max(stats.get("dt_largest", step), step)
         if err is None or err <= 0.0:
             fac = _FAC_BLIND
         else:
@@ -715,25 +796,31 @@ def _adaptive_loop(circuit: Circuit, tstop: float, method: str,
                 * err_prev ** (0.4 / k_order)
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             err_prev = max(err, 1e-4)
+        if (stepper.alive & (hist_count < 2)).any():
+            # Some lane is predictor-blind (its history just restarted
+            # at a breakpoint): its error is invisible to the worst-
+            # lane controller, so growth is capped as for a step with
+            # no estimate at all — otherwise the other lanes'
+            # plateau-small errors would quintuple the shared step
+            # right through the restarting lane's edge.
+            fac = min(fac, _FAC_BLIND)
         h = step * fac
+        hist.append((t, stepper.x.copy()))
+        if len(hist) > 3:
+            hist.pop(0)
+        hist_count = np.minimum(hist_count + 1, 3)
         if landing:
             bp_idx += 1
-            if stats is not None:
-                stats["breakpoints_hit"] = \
-                    stats.get("breakpoints_hit", 0) + 1
-            # The source derivative is discontinuous here: restart the
-            # predictor history and re-enter cautiously (the first
-            # post-breakpoint step has no LTE estimate).
-            hist_t = [t]
-            hist_x = [x.copy()]
-            h = max(dt_min, h * _BREAKPOINT_SHRINK)
-            err_prev = 1.0
-        else:
-            hist_t.append(t)
-            hist_x.append(x.copy())
-            if len(hist_t) > 3:
-                hist_t.pop(0)
-                hist_x.pop(0)
+            _count(stats, "breakpoints_hit")
+            restart = stepper.restart_lanes(t)
+            if restart:
+                # Source derivative discontinuity: restart the owning
+                # lanes' predictor history and re-enter cautiously
+                # (the first step after has no LTE estimate for them).
+                hist_count[restart] = 1
+                h = max(dt_min, h * _BREAKPOINT_SHRINK)
+                err_prev = 1.0
+
 
 
 def initial_conditions_from_op(circuit: Circuit,

@@ -32,7 +32,7 @@ stream).  ``netlist``, ``mc`` and ``characterize`` accept
 (auto switches to sparse at the measured dense/sparse crossover
 dimension; see ``docs/hierarchy.md``) and
 ``--kernels {auto,numpy,compiled}`` to pick the hot-kernel tier
-(auto prefers a compiled tier — numba or the system C compiler —
+(auto prefers the compiled tier — C via the system compiler —
 falling back to numpy; see ``docs/kernels.md``).  Process counts for
 ``mc`` (default: all cores) and ``characterize`` (default: 1) come
 from ``--workers``; ``auto`` honours the ``REPRO_WORKERS``
@@ -79,11 +79,10 @@ def _backend_argument(parser: argparse.ArgumentParser) -> None:
                              "engine (auto picks sparse above the "
                              "dense/sparse crossover dimension)")
     parser.add_argument("--kernels",
-                        choices=("auto", "numpy", "compiled", "numba",
-                                 "cc"),
+                        choices=("auto", "numpy", "compiled", "cc"),
                         default="auto",
                         help="hot-kernel tier (auto prefers compiled "
-                             "— numba or the system C compiler — and "
+                             "— C via the system compiler — and "
                              "falls back to numpy; overrides the "
                              "REPRO_KERNELS environment variable)")
 

@@ -32,8 +32,7 @@ Registered workloads cover the BENCH sections the runner regenerates:
   1e-9 V lane-parity gate.
 * ``circuit_transient`` — a single transient over the generic factor
   matrix: ``circuit`` (ring | rca), ``size``, ``backend``
-  (dense | sparse | auto), ``kernels`` (numpy | compiled | numba | cc
-  | auto), ``chord`` (on | off).
+  (dense | sparse | auto), ``kernels`` (numpy | compiled | cc | auto), ``chord`` (on | off).
 * ``vsc_sweep`` — the stacked-VSC kernel swept over a dense bias grid
   per kernel tier (factor ``kernels``); the parity column is the
   kernel-parity gate.
@@ -749,8 +748,6 @@ def _run_partitioned_transient(point: Mapping, params: Mapping,
                 stats.get("partition_block_steps_bypassed", 0)),
             "interface_solve_reuses": float(
                 stats.get("partition_interface_solve_reuses", 0)),
-            "relax_escalations": float(
-                stats.get("partition_relax_escalations", 0)),
         },
         "signature": signature,
     }

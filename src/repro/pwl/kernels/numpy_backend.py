@@ -4,9 +4,8 @@ These are the vectorized implementations the engine has always run
 (moved here verbatim from ``StackedVscSolver.solve``,
 ``_StackedCNFETBank._companion`` and the ``add_flat`` stamping
 primitives), so selecting ``kernels="numpy"`` reproduces the historical
-waveforms bit for bit.  The compiled tiers
-(:mod:`repro.pwl.kernels.cc_backend`,
-:mod:`repro.pwl.kernels.numba_backend`) mirror this arithmetic lane by
+waveforms bit for bit.  The compiled tier
+(:mod:`repro.pwl.kernels.cc_backend`) mirrors this arithmetic lane by
 lane; see :doc:`/kernels` for the parity contract.
 """
 
@@ -30,7 +29,7 @@ class NumpyKernelBackend:
     """Reference kernel tier: vectorized numpy, no compilation."""
 
     name = "numpy"
-    #: True for tiers whose kernels are compiled (numba / cc)
+    #: True for tiers whose kernels are compiled (cc)
     compiled = False
 
     # -- kernel 1: stacked VSC solve -----------------------------------

@@ -105,8 +105,14 @@ class ServiceClient:
                 delay = min(delay * 2, 1.0)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        """GET one job's current document (result inline when done)."""
+    def status(self, job_id: str, wait: float = 0.0) -> Dict[str, Any]:
+        """GET one job's current document (result inline when done).
+
+        With ``wait > 0`` the server holds the reply until the job
+        finishes or ``wait`` seconds pass, whichever comes first.
+        """
+        if wait > 0:
+            return self._request("GET", f"/jobs/{job_id}?wait={wait:g}")
         return self._request("GET", f"/jobs/{job_id}")
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
@@ -126,7 +132,10 @@ class ServiceClient:
 
         The poll interval starts at ``poll`` and backs off
         exponentially to at most ``poll_max``, so short jobs return
-        fast without long-running ones hammering the server.
+        fast without long-running ones hammering the server.  Each poll
+        after the first asks the server to hold its reply for up to one
+        interval (``status(wait=...)``), so a finished job is seen as
+        soon as it finishes rather than at the next poll.
 
         Raises :class:`repro.errors.ServiceError` when the job failed
         or ``timeout`` elapsed first.  A wait timeout is a *client*
@@ -138,8 +147,10 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         interval = poll
+        hold = 0.0
         while True:
-            doc = self.status(job_id)
+            asked = time.monotonic()
+            doc = self.status(job_id, wait=hold)
             if doc["state"] == "done":
                 return doc
             if doc["state"] == "failed":
@@ -149,8 +160,10 @@ class ServiceClient:
                 raise ServiceError(
                     f"job {job_id} still {doc['state']} after "
                     f"{timeout:g}s")
-            time.sleep(min(interval, max(0.0,
-                                         deadline - time.monotonic())))
+            # Sleep out any part of the hold the server did not use,
+            # so polls never come faster than one per interval.
+            time.sleep(max(0.0, asked + hold - time.monotonic()))
+            hold = min(interval, max(0.0, deadline - time.monotonic()))
             interval = min(interval * 1.5, poll_max)
 
     def run(self, spec: Dict[str, Any], timeout: float = 60.0,

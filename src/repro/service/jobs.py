@@ -100,6 +100,8 @@ class JobSpec:
     ``payload`` is the canonical JSON-able form with defaults resolved,
     so semantically equal submissions (different whitespace, key
     order, deck comments) produce equal ``fingerprint`` values.
+    ``submitted`` keeps the raw payload: the parsed circuit does not
+    pickle, so an engine worker process re-parses the spec from it.
     """
 
     kind: str
@@ -107,6 +109,8 @@ class JobSpec:
     fingerprint: str
     group_key: Optional[str]
     circuit: Optional[Circuit] = None
+    submitted: Optional[Dict[str, Any]] = dataclasses.field(
+        default=None, compare=False, repr=False)
 
 
 def _fail(kind: str, message: str) -> ParameterError:
@@ -261,7 +265,7 @@ def parse_job_spec(payload: Any) -> JobSpec:
         spec = dataclasses.replace(
             spec, payload=dict(spec.payload, deadline_s=deadline_s),
             group_key=None)
-    return spec
+    return dataclasses.replace(spec, submitted=dict(payload))
 
 
 def _parse_transient(payload: Mapping) -> JobSpec:

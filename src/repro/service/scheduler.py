@@ -16,12 +16,31 @@ The window is a latency/throughput trade: requests arriving within
 ``batch_window`` of each other share one stacked solve (the repo's
 lane-batching speedups, applied across clients), at the cost of up to
 one window of added latency for the first job of a group.
+
+Each worker thread owns one forked engine process and only queues,
+waits and demuxes; the solve itself runs in the process.  The engine
+is pure Python in places, and a solve on a thread of the server would
+hold the GIL for seconds at a time, so status polls, cancels and
+submissions would all wait for it.  Cancellation reaches the process
+through a shared-memory flag that its :class:`CancelToken` checks
+read, and a process whose dispatch nobody waits for any more is
+killed past a short grace period.
+
+An engine process is forked at its worker's first dispatch, not when
+the scheduler starts: by then the server has parsed that job, so the
+process inherits the device fits the parse built instead of fitting
+the same models again.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
+import signal
 import threading
 import time
+import traceback
 import uuid
 from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional
@@ -30,7 +49,8 @@ from repro import faults
 from repro.cancel import CancelToken
 from repro.errors import (CancelledError, ParameterError, ReproError,
                           ServiceError, ServiceOverloadError)
-from repro.service.jobs import JobSpec, execute_group, execute_spec
+from repro.service.jobs import (JobSpec, execute_group, execute_spec,
+                                parse_job_spec)
 
 __all__ = ["Job", "JobRegistry", "CoalescingScheduler"]
 
@@ -235,11 +255,18 @@ class CoalescingScheduler:
         self._queue: "deque[Job]" = deque()
         self._cv = threading.Condition()
         self._stopping = False
+        # One engine process per worker thread, forked at its first
+        # dispatch; without fork the threads run the engine.
+        self._engines: List[Optional[_EngineProcess]] = [
+            _EngineProcess(backend, self.max_lanes)
+            if hasattr(os, "fork") else None
+            for _ in range(workers)
+        ]
         self._threads = [
-            threading.Thread(target=self._worker_loop,
+            threading.Thread(target=self._worker_loop, args=(engine,),
                              name=f"repro-service-worker-{i}",
                              daemon=True)
-            for i in range(workers)
+            for i, engine in enumerate(self._engines)
         ]
         for thread in self._threads:
             thread.start()
@@ -270,8 +297,9 @@ class CoalescingScheduler:
         Queued jobs that no worker has claimed are failed with a
         shutdown error so clients never hang on them.  Returns the
         names of worker threads that failed to join within ``timeout``
-        (a wedged job holds its thread; an empty list means a clean
-        shutdown).
+        (an empty list means a clean shutdown); the engine process of
+        each such wedged worker is then killed, so its job fails and
+        the thread exits.
         """
         with self._cv:
             self._stopping = True
@@ -282,10 +310,12 @@ class CoalescingScheduler:
             job.fail("service shut down before the job ran")
         stuck: List[str] = []
         if wait:
-            for thread in self._threads:
+            for thread, engine in zip(self._threads, self._engines):
                 thread.join(timeout)
                 if thread.is_alive():
                     stuck.append(thread.name)
+                    if engine is not None:
+                        engine.kill()
         return stuck
 
     @property
@@ -332,22 +362,26 @@ class CoalescingScheduler:
                 self._cv.wait(remaining)
         return group
 
-    def _worker_loop(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._stopping:
-                    self._cv.wait()
-                if self._stopping and not self._queue:
-                    return
-                job = self._queue.popleft()
-            if job.spec.group_key is None or self.batch_window == 0:
-                group = [job]
-            else:
-                group = self._gather_group(job)
-            self._run_group(group)
+    def _worker_loop(self, engine: Optional["_EngineProcess"]) -> None:
+        try:
+            while True:
+                with self._cv:
+                    while not self._queue and not self._stopping:
+                        self._cv.wait()
+                    if self._stopping and not self._queue:
+                        return
+                    job = self._queue.popleft()
+                if job.spec.group_key is None or self.batch_window == 0:
+                    group = [job]
+                else:
+                    group = self._gather_group(job)
+                self._run_group(group, engine)
+        finally:
+            if engine is not None:
+                engine.stop()
 
-    def _run_group(self, group: List[Job]) -> None:
-        stats: dict = {}
+    def _run_group(self, group: List[Job],
+                   engine: Optional["_EngineProcess"]) -> None:
         # Weed out jobs already decided before dispatch: cancelled
         # while queued, or whose deadline expired in the queue (the
         # budget is measured from submission).
@@ -371,57 +405,308 @@ class CoalescingScheduler:
         for job in group:
             job.coalesced = len(group)
             job.mark_running()
-        # Deadline/cancel jobs run solo (parse_job_spec clears their
-        # group_key), so the token threads cleanly through the scalar
-        # engine instead of the lock-step batch loops.
-        cancel = group[0].cancel_token if len(group) == 1 else None
-        try:
-            results = execute_group([job.spec for job in group],
-                                    backend=self.backend, stats=stats,
-                                    cancel=cancel)
-        except CancelledError as exc:
-            for job in group:
-                job.fail(str(exc), kind=exc.kind)
-            if self._on_group is not None:
-                try:
-                    self._on_group(group, stats)
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            return
-        except ReproError:
-            # Whole-dispatch failure: retry each job scalar so one
-            # poisoned lane (or a batching limitation) cannot take the
-            # group down.
-            stats["group_fallback"] = len(group)
-            results = []
-            for job in group:
-                try:
-                    results.append(execute_spec(
-                        job.spec, backend=self.backend,
-                        cancel=job.cancel_token))
-                except ReproError as exc:
-                    results.append(exc)
-        except Exception as exc:  # pragma: no cover - defensive
+        if engine is None:
+            stats: dict = {}
+            reply = _execute([job.spec for job in group],
+                             [job.cancel_token for job in group],
+                             self.backend, stats)
+        else:
+            try:
+                reply, stats = engine.run(group)
+            except Exception as exc:  # pragma: no cover - defensive
+                reply, stats = ("internal", f"internal error: {exc!r}"), {}
+        if reply[0] == "internal":
             # Never let an unexpected bug take a worker thread (and
             # with it the whole pool) down; the jobs report it.
             for job in group:
-                job.fail(f"internal error: {exc!r}")
+                job.fail(reply[1])
             return
-        for job, result in zip(group, results):
-            if isinstance(result, CancelledError):
-                job.fail(str(result), kind=result.kind)
-            elif isinstance(result, ReproError):
-                job.fail(str(result))
-            else:
-                job.finish(result)
-        # execute_group contracts one entry per job; if a future batch
-        # path ever breaks that, fail the unmatched jobs instead of
-        # leaving them "running" until the client's wait times out.
-        for job in group[len(results):]:
-            job.fail(f"internal error: dispatch returned "
-                     f"{len(results)} results for {len(group)} jobs")
+        if reply[0] == "cancelled":
+            for job in group:
+                _fail_cancelled(job, reply[1], reply[2])
+        else:
+            outcomes = reply[1]
+            for job, outcome in zip(group, outcomes):
+                if outcome[0] == "done":
+                    job.finish(outcome[1])
+                elif outcome[2] == "error":
+                    job.fail(outcome[1])
+                else:
+                    _fail_cancelled(job, outcome[1], outcome[2])
+            # execute_group contracts one entry per job; if a future
+            # batch path ever breaks that, fail the unmatched jobs
+            # instead of leaving them "running" until the client's
+            # wait times out.
+            for job in group[len(outcomes):]:
+                job.fail(f"internal error: dispatch returned "
+                         f"{len(outcomes)} results for {len(group)} "
+                         f"jobs")
         if self._on_group is not None:
             try:
                 self._on_group(group, stats)
             except Exception:  # pragma: no cover - defensive
                 pass  # accounting must never kill a worker
+
+
+def _fail_cancelled(job: Job, message: str, kind: str) -> None:
+    """Fail ``job`` after the engine unwound it: in its own token's
+    words (client reason or deadline) when the token fired, else in
+    the engine's."""
+    try:
+        job.cancel_token.check()
+    except CancelledError as exc:
+        message, kind = str(exc), exc.kind
+    job.fail(message, kind=kind)
+
+
+def _execute(specs: List[JobSpec], tokens: List[CancelToken], backend,
+             stats: dict) -> tuple:
+    """Run one dispatch of ``specs`` (one cancel token per spec).
+
+    Returns ``("ok", outcomes)`` with one ``("done", result)`` or
+    ``("failed", message, kind)`` per job, ``("cancelled", message,
+    kind)`` when the dispatch was cancelled as a whole, or
+    ``("internal", message)`` for an unexpected bug.  The reply is
+    plain data, so it crosses the engine-process pipe unchanged.
+    """
+    # Deadline/cancel jobs run solo (parse_job_spec clears their
+    # group_key), so the token threads cleanly through the scalar
+    # engine instead of the lock-step batch loops.
+    cancel = tokens[0] if len(specs) == 1 else None
+    try:
+        results = execute_group(specs, backend=backend, stats=stats,
+                                cancel=cancel)
+    except CancelledError as exc:
+        return ("cancelled", str(exc), exc.kind)
+    except ReproError:
+        # Whole-dispatch failure: retry each job scalar so one
+        # poisoned lane (or a batching limitation) cannot take the
+        # group down.
+        stats["group_fallback"] = len(specs)
+        results = []
+        for spec, token in zip(specs, tokens):
+            try:
+                results.append(execute_spec(spec, backend=backend,
+                                            cancel=token))
+            except ReproError as exc:
+                results.append(exc)
+    except Exception as exc:  # pragma: no cover - defensive
+        return ("internal", f"internal error: {exc!r}")
+    outcomes: list = []
+    for result in results:
+        if isinstance(result, CancelledError):
+            outcomes.append(("failed", str(result), result.kind))
+        elif isinstance(result, ReproError):
+            outcomes.append(("failed", str(result), "error"))
+        else:
+            outcomes.append(("done", result))
+    return ("ok", outcomes)
+
+
+# ---------------------------------------------------------------------
+# Engine processes
+# ---------------------------------------------------------------------
+
+#: seconds between a busy worker thread's looks at its jobs' tokens
+_POLL_S = 0.02
+#: seconds a dispatch whose every job was cancelled or timed out may
+#: run on before its engine process is killed (the cooperative check
+#: normally unwinds it within one Newton iteration)
+_KILL_GRACE_S = 1.0
+#: seconds an engine process gets to exit after a stop request
+_STOP_WAIT_S = 2.0
+
+#: every engine process with a live pipe; a newly forked engine closes
+#: its copies of their server-side ends, so each engine sees EOF once
+#: the server goes away
+_LIVE: "set[_EngineProcess]" = set()
+
+
+class _SlotToken(CancelToken):
+    """The engine-process side of one job's cancel token: the job's
+    deadline, plus a shared-memory flag the worker thread sets when
+    the job is cancelled."""
+
+    def __init__(self, flags: mmap.mmap, slot: int,
+                 deadline_s: Optional[float],
+                 deadline: Optional[float]) -> None:
+        super().__init__()
+        self.deadline_s = deadline_s
+        self._deadline = deadline
+        self._flags = flags
+        self._slot = slot
+
+    @property
+    def cancelled(self) -> bool:
+        return bool(self._flags[self._slot])
+
+    def check(self) -> None:
+        if self._flags[self._slot]:
+            raise CancelledError("cancelled", kind="cancelled")
+        super().check()
+
+
+def _engine_main(conn, flags: mmap.mmap, backend) -> None:
+    """Engine-process body: run dispatches until told to stop."""
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        stats: dict = {}
+        try:
+            specs = [parse_job_spec(submitted)
+                     for submitted, _, _ in request]
+            tokens = [_SlotToken(flags, slot, deadline_s, deadline)
+                      for slot, (_, deadline_s, deadline)
+                      in enumerate(request)]
+            reply = _execute(specs, tokens, backend, stats)
+        except Exception as exc:  # pragma: no cover - defensive
+            reply = ("internal", f"internal error: {exc!r}")
+        try:
+            conn.send((reply, stats))
+        except Exception as exc:  # e.g. an unpicklable result
+            conn.send((("internal", f"internal error: {exc!r}"), {}))
+
+
+class _EngineProcess:
+    """A forked process that runs one worker thread's dispatches.
+
+    The server process only queues, polls and answers HTTP; every
+    engine solve runs here, so a long pure-Python transient never
+    holds the server's GIL.  The worker thread blocks on the pipe
+    (GIL released), watches its jobs' tokens meanwhile, forwards a
+    cancel through a shared-memory flag that the engine's
+    :class:`CancelToken` checks read, and kills the process when a
+    dispatch nobody waits for any more outlives
+    ``_KILL_GRACE_S``.  The process is forked at the first dispatch,
+    and a dead one is re-forked at the next.
+    """
+
+    def __init__(self, backend, slots: int) -> None:
+        self.backend = backend
+        self.flags = mmap.mmap(-1, slots)
+        self.pid: Optional[int] = None
+        self.conn = None
+        self._lock = threading.Lock()
+
+    def start(self) -> None:
+        """Fork the engine process.
+
+        Fork rather than spawn: a spawned engine would re-import the
+        stack (about a second) and refit every device model the server
+        already fitted.  Fork from a threaded server is safe here
+        because the child runs engine code only and takes none of the
+        locks the server's threads hold (registry, cache, metrics,
+        HTTP); ``logging`` re-creates its locks in a forked child.
+        """
+        _preload_engine()
+        parent_end, child_end = multiprocessing.Pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the forked child
+            code = 0
+            try:
+                parent_end.close()
+                for other in list(_LIVE):
+                    other.conn.close()
+                # Ctrl-C belongs to the server, which stops us.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _engine_main(child_end, self.flags, self.backend)
+            except BaseException:
+                # Nothing may unwind into the copy of the server's
+                # stack that fork left below this frame.
+                traceback.print_exc()
+                code = 1
+            finally:
+                os._exit(code)
+        child_end.close()
+        self.pid, self.conn = pid, parent_end
+        _LIVE.add(self)
+
+    def run(self, jobs: List[Job]) -> tuple:
+        """Run ``jobs`` as one dispatch; returns ``(reply, stats)``
+        with ``reply`` as :func:`_execute` builds it."""
+        if self.pid is not None and self.conn.poll():
+            # An idle engine sends nothing, so a readable pipe means it
+            # died between dispatches (or was killed as it answered).
+            self._reap(0.0)
+        if self.pid is None:
+            self.start()
+        self.flags[:len(jobs)] = bytes(len(jobs))
+        tokens = [job.cancel_token for job in jobs]
+        request = []
+        for job, token in zip(jobs, tokens):
+            remaining = token.remaining()
+            request.append((job.spec.submitted, token.deadline_s,
+                            None if remaining is None
+                            else time.monotonic() + remaining))
+        give_up: Optional[float] = None
+        try:
+            self.conn.send(request)
+            while not self.conn.poll(_POLL_S):
+                for slot, token in enumerate(tokens):
+                    if token.cancelled:
+                        self.flags[slot] = 1
+                if not all(t.cancelled or t.expired for t in tokens):
+                    continue
+                if give_up is None:
+                    give_up = time.monotonic() + _KILL_GRACE_S
+                elif time.monotonic() > give_up:
+                    self.kill()
+            return self.conn.recv()
+        except (EOFError, OSError):
+            code = self._reap(_STOP_WAIT_S)
+        if give_up is not None:
+            return ("cancelled", "cancelled", "cancelled"), {}
+        return ("internal", f"internal error: engine process exited "
+                            f"with code {code}"), {}
+
+    def kill(self) -> None:
+        """SIGKILL the process; its worker thread sees EOF and fails
+        the running dispatch."""
+        with self._lock:
+            if self.pid is not None:
+                os.kill(self.pid, signal.SIGKILL)
+
+    def stop(self) -> None:
+        """Ask the process to exit, then reap it."""
+        if self.pid is None:
+            return
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self._reap(_STOP_WAIT_S)
+
+    def _reap(self, grace: float) -> Optional[int]:
+        """Close the pipe and collect the exit code, killing the
+        process if it is still alive after ``grace`` seconds."""
+        with self._lock:
+            pid, self.pid = self.pid, None
+        _LIVE.discard(self)
+        self.conn.close()
+        if pid is None:  # pragma: no cover - defensive
+            return None
+        end = time.monotonic() + grace
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                return os.waitstatus_to_exitcode(status)
+            if time.monotonic() >= end:
+                os.kill(pid, signal.SIGKILL)
+                _, status = os.waitpid(pid, 0)
+                return os.waitstatus_to_exitcode(status)
+            time.sleep(0.01)
+
+
+def _preload_engine() -> None:
+    """Import every engine module a job kind reaches, once, in the
+    server: each forked engine process then starts with them loaded."""
+    import repro.characterize  # noqa: F401
+    import repro.circuit.batch_sim  # noqa: F401
+    import repro.circuit.dc  # noqa: F401
+    import repro.circuit.transient  # noqa: F401
+    import repro.experiments.workloads  # noqa: F401
+    import repro.variability.campaign  # noqa: F401

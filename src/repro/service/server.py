@@ -12,6 +12,8 @@ logger — and exposes it over a stdlib ``ThreadingHTTPServer``:
     with the result inline, no engine work.
 ``GET /jobs/<id>``
     Poll a job; the result rides along once the state is ``done``.
+    ``?wait=<s>`` holds the reply until the job finishes or ``s``
+    seconds pass (at most :data:`MAX_STATUS_WAIT_S`).
 ``POST /jobs/<id>/cancel``
     Cooperatively cancel a queued or running job; the running engine
     unwinds at its next cancellation check and the job fails with
@@ -41,6 +43,7 @@ import secrets
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro import faults
 from repro.errors import (ParameterError, ReproError, ServiceError,
@@ -52,8 +55,12 @@ from repro.service.metrics import (MetricsRegistry, StructuredLogger,
 from repro.service.scheduler import (CoalescingScheduler, Job,
                                      JobRegistry)
 
-__all__ = ["SERVICE_COUNTERS", "SERVICE_HISTOGRAMS", "JobServer",
-           "serve", "shutdown_authorized"]
+__all__ = ["SERVICE_COUNTERS", "SERVICE_HISTOGRAMS", "MAX_STATUS_WAIT_S",
+           "JobServer", "serve", "shutdown_authorized"]
+
+#: Longest ``GET /jobs/<id>?wait=`` hold [s]; longer requests are
+#: clamped, so a client cannot park a handler thread indefinitely.
+MAX_STATUS_WAIT_S = 10.0
 
 #: Counter names exported at ``/metrics`` (documented API).
 SERVICE_COUNTERS = (
@@ -328,7 +335,7 @@ def _make_handler(server: JobServer):
             self.wfile.write(body)
 
         def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-            path = self.path.split("?", 1)[0]
+            path, _, query = self.path.partition("?")
             if path == "/healthz":
                 self._reply(200, server.health())
             elif path == "/metrics":
@@ -338,8 +345,19 @@ def _make_handler(server: JobServer):
                 job = server.job(path[len("/jobs/"):])
                 if job is None:
                     self._reply(404, {"error": "unknown job id"})
-                else:
-                    self._reply(200, job.payload())
+                    return
+                try:
+                    wait = float(parse_qs(query).get("wait", ["0"])[0])
+                except ValueError:
+                    wait = -1.0
+                if not 0.0 <= wait < float("inf"):
+                    self._reply(400, {"error": "wait must be a "
+                                               "non-negative number of "
+                                               "seconds"})
+                    return
+                if wait > 0:
+                    job.wait(min(wait, MAX_STATUS_WAIT_S))
+                self._reply(200, job.payload())
             else:
                 self._reply(404, {"error": f"no route {path!r}"})
 

@@ -10,6 +10,8 @@ and ``/metrics`` exposes the documented counter/histogram names.
 
 import dataclasses
 import json
+import os
+import signal
 import threading
 import time
 import urllib.error
@@ -754,3 +756,119 @@ class TestSchedulerDemuxGuard:
             assert "0 results for 1 jobs" in job.error
         finally:
             srv.shutdown()
+
+
+class TestEngineProcesses:
+    """Solves run in forked engine processes, so the server process
+    stays free to answer HTTP while they run, and a dead or
+    uncooperative engine costs its own dispatch only."""
+
+    def test_status_polls_stay_fast_during_a_long_solve(self, server):
+        _, client = server
+        doc = client.submit(rc_job(r="5e3", **SLOW_JOB_OVERRIDES))
+        deadline = time.monotonic() + 10.0
+        while client.status(doc["id"])["state"] == "pending" \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # A solve on a thread of the server held its GIL: each poll
+        # then took about a second.
+        slowest = 0.0
+        for _ in range(5):
+            start = time.monotonic()
+            state = client.status(doc["id"])["state"]
+            slowest = max(slowest, time.monotonic() - start)
+        assert state == "running"
+        assert slowest < 0.5
+        client.cancel(doc["id"])
+
+    @staticmethod
+    def _sabotaged_execute_group(monkeypatch, action):
+        """Make dispatches of a 3e-8 s transient run ``action``;
+        every other dispatch runs normally."""
+        import repro.service.scheduler as scheduler_mod
+
+        original = scheduler_mod.execute_group
+
+        def execute_group(specs, **kwargs):
+            if specs[0].payload["tstop"] == 3e-8:
+                action()
+            return original(specs, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "execute_group",
+                            execute_group)
+
+    def test_crashed_engine_fails_its_job_and_is_replaced(
+            self, monkeypatch):
+        self._sabotaged_execute_group(monkeypatch,
+                                      lambda: os._exit(9))
+        with JobServer(workers=1, batch_window=0.0,
+                       cache_size=4) as srv:
+            crashed = srv.submit(rc_job(tstop=3e-8))
+            assert crashed.wait(timeout=10.0)
+            assert crashed.state == "failed"
+            assert "exited with code 9" in crashed.error
+            after = srv.submit(rc_job())
+            assert after.wait(timeout=30.0)
+            assert after.state == "done"
+
+    def test_engine_killed_while_idle_is_replaced(self):
+        with JobServer(workers=1, batch_window=0.0,
+                       cache_size=4) as srv:
+            first = srv.submit(rc_job())
+            assert first.wait(timeout=30.0)
+            os.kill(srv.scheduler._engines[0].pid, signal.SIGKILL)
+            time.sleep(0.2)
+            after = srv.submit(rc_job(r="2e3"))
+            assert after.wait(timeout=30.0)
+            assert after.state == "done"
+
+    def test_uncooperative_engine_is_killed_on_cancel(self, monkeypatch):
+        self._sabotaged_execute_group(monkeypatch,
+                                      lambda: time.sleep(60.0))
+        with JobServer(workers=1, batch_window=0.0,
+                       cache_size=4) as srv:
+            wedged = srv.submit(rc_job(tstop=3e-8))
+            deadline = time.monotonic() + 10.0
+            while wedged.state == "pending" \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            start = time.monotonic()
+            assert wedged.cancel("stop it")
+            assert wedged.wait(timeout=10.0)
+            # The engine never checks its token; the worker kills it
+            # after the grace period instead of waiting out the sleep.
+            assert time.monotonic() - start < 5.0
+            assert wedged.state == "failed"
+            assert wedged.error_kind == "cancelled"
+            assert wedged.error == "stop it"
+            after = srv.submit(rc_job())
+            assert after.wait(timeout=30.0)
+            assert after.state == "done"
+
+
+class TestStatusWait:
+    def test_wait_returns_as_soon_as_the_job_finishes(self, server):
+        _, client = server
+        doc = client.submit(rc_job(r="6e3"))
+        start = time.monotonic()
+        final = client.status(doc["id"], wait=30.0)
+        assert final["state"] == "done"
+        # Answered at the finish, not at the end of the (clamped) hold.
+        assert time.monotonic() - start < 5.0
+
+    def test_wait_is_bounded_for_a_running_job(self, server):
+        _, client = server
+        doc = client.submit(rc_job(r="7e3", **SLOW_JOB_OVERRIDES))
+        start = time.monotonic()
+        held = client.status(doc["id"], wait=0.2)
+        elapsed = time.monotonic() - start
+        assert held["state"] in ("pending", "running")
+        assert 0.15 <= elapsed < 5.0
+        client.cancel(doc["id"])
+
+    @pytest.mark.parametrize("wait", ["-1", "nan", "inf", "soon"])
+    def test_bad_wait_is_400(self, server, wait):
+        _, client = server
+        doc = client.run(rc_job(r="8e3"))
+        with pytest.raises(ServiceError, match="400"):
+            client._request("GET", f"/jobs/{doc['id']}?wait={wait}")
