@@ -229,6 +229,9 @@ class _StackedCNFETBank:
         #: matrix stays bit-identical so the sparse assembler reuses
         #: its LU factorisation across iterations *and* steps.
         self._memo: Optional[Tuple] = None
+        #: table addresses bound by the compiled kernel tier (the
+        #: tables above are only ever written in place)
+        self._kaddr = None
 
     def _bank_reset(self) -> None:
         self.hint[:] = 0.0

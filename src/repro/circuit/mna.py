@@ -49,7 +49,10 @@ import numpy as np
 from repro import faults
 from repro.cancel import CancelToken
 from repro.circuit.elements.base import StampContext, TripletStampContext
+from repro.circuit.elements.capacitor import Capacitor
 from repro.circuit.elements.cnfet import CNFETElement, CNFETSlab
+from repro.circuit.elements.resistor import Resistor
+from repro.circuit.elements.sources import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.circuit.solvers import BackendLike, resolve_backend
 from repro.errors import AnalysisError
@@ -126,6 +129,141 @@ def assemble(circuit: Circuit, x: np.ndarray, *, analysis: str = "dc",
     return ctx
 
 
+class _LinearStamps:
+    """Static phase of plain sources, resistors and capacitors, stamped
+    from index templates instead of one ``stamp`` call per element.
+
+    Each analysis mode (DC, or a transient step with capacitor
+    companions) gets one template, built on first use: every matrix
+    triplet and rhs entry the per-element loop would emit, in the
+    loop's order and with grounded entries dropped, as
+    ``sign * slot[src]``.  The slot vector is rebuilt per step from
+    the quantities that move: source values (read at stamp time, since
+    ``dc_sweep`` swaps waveform objects) and capacitor companions
+    (trapezoidal history read from the elements).  One
+    :meth:`~repro.circuit.elements.base.StampContext.add_flat` then
+    lands the entries; its scatter-adds sum in template order, so the
+    dense matrix, the triplet stream and the rhs are bit-identical to
+    the loop's.
+    """
+
+    #: element types a template covers (exact types: a subclass may
+    #: override ``stamp``)
+    TYPES = (VoltageSource, CurrentSource, Resistor, Capacitor)
+
+    def __init__(self, elements) -> None:
+        self.elements = list(elements)
+        resistors = [el for el in self.elements if type(el) is Resistor]
+        self.sources = [el for el in self.elements
+                        if type(el) in (VoltageSource, CurrentSource)]
+        self.caps = [el for el in self.elements if type(el) is Capacitor]
+        self._cap_c = np.array([el.capacitance for el in self.caps])
+        #: per-step constant slots: 1.0, then every conductance
+        self._const = np.array(
+            [1.0] + [el.conductance for el in resistors])
+        # slot layout: const | source values | cap geq | cap ieq
+        n_const, n_src = self._const.size, len(self.sources)
+        self._slot = {}
+        for k, el in enumerate(resistors):
+            self._slot[id(el)] = 1 + k
+        for k, el in enumerate(self.sources):
+            self._slot[id(el)] = n_const + k
+        for k, el in enumerate(self.caps):
+            self._slot[id(el)] = n_const + n_src + k
+        self._n_caps = len(self.caps)
+        self._cap_nodes = None
+        self._templates = {}
+
+    def _build(self, ctx: StampContext, tran: bool) -> tuple:
+        """``(m_flat, m_sign, m_slot, r_row, r_sign, r_slot)`` for one
+        mode, replaying each element's ``stamp`` entry sequence."""
+        dim = ctx.rhs.size
+        m, r = [], []
+
+        def entry(row, col, sign, slot):
+            if row >= 0 and col >= 0:
+                m.append((row * dim + col, sign, slot))
+
+        def rhs(row, sign, slot):
+            if row >= 0:
+                r.append((row, sign, slot))
+
+        def conductance(ia, ib, slot):
+            entry(ia, ia, 1.0, slot)
+            entry(ib, ib, 1.0, slot)
+            entry(ia, ib, -1.0, slot)
+            entry(ib, ia, -1.0, slot)
+
+        for el in self.elements:
+            ia, ib = ctx.idx(el.nodes[0]), ctx.idx(el.nodes[1])
+            slot = self._slot[id(el)]
+            kind = type(el)
+            if kind is VoltageSource:
+                k = el.aux_index
+                entry(ia, k, 1.0, 0)
+                entry(ib, k, -1.0, 0)
+                entry(k, ia, 1.0, 0)
+                entry(k, ib, -1.0, 0)
+                rhs(k, 1.0, slot)
+            elif kind is CurrentSource:
+                rhs(ia, -1.0, slot)
+                rhs(ib, 1.0, slot)
+            elif kind is Resistor:
+                conductance(ia, ib, slot)
+            elif tran:  # Capacitor: open in DC
+                conductance(ia, ib, slot)
+                rhs(ia, -1.0, slot + self._n_caps)
+                rhs(ib, 1.0, slot + self._n_caps)
+
+        def columns(rows):
+            flat, sign, slot = zip(*rows) if rows else ((), (), ())
+            return (np.array(flat, dtype=np.intp), np.array(sign),
+                    np.array(slot, dtype=np.intp))
+
+        if tran:
+            # ground reads x_prev's appended 0.0 pad through index -1
+            self._cap_nodes = (
+                np.array([ctx.idx(el.nodes[0]) for el in self.caps],
+                         dtype=np.intp),
+                np.array([ctx.idx(el.nodes[1]) for el in self.caps],
+                         dtype=np.intp))
+        return columns(m) + columns(r)
+
+    def stamp(self, ctx: StampContext) -> None:
+        """Land every covered element's static stamps in ``ctx``."""
+        tran = ctx.analysis == "tran" and ctx.dt is not None
+        template = self._templates.get(tran)
+        if template is None:
+            template = self._templates[tran] = self._build(ctx, tran)
+        m_flat, m_sign, m_slot, r_row, r_sign, r_slot = template
+        if ctx.analysis == "tran" and ctx.time is not None:
+            time = ctx.time
+            values = [el.waveform.value(time) for el in self.sources]
+        else:
+            values = [el.waveform.dc_value() for el in self.sources]
+        parts = [self._const,
+                 np.array(values, dtype=float) * ctx.source_scale]
+        if tran and self._n_caps:
+            c = self._cap_c
+            if ctx.x_prev is None:
+                v_prev = np.zeros(self._n_caps)
+            else:
+                xp = np.append(ctx.x_prev, 0.0)
+                node_a, node_b = self._cap_nodes
+                v_prev = xp[node_a] - xp[node_b]
+            if ctx.method == "trap":
+                geq = 2.0 * c / ctx.dt
+                i_prev = np.array([el._i_prev for el in self.caps])
+                ieq = -(geq * v_prev + i_prev)
+            else:  # backward Euler
+                geq = c / ctx.dt
+                ieq = -geq * v_prev
+            parts += [geq, ieq]
+        slots = np.concatenate(parts)
+        ctx.add_flat(m_flat, m_sign * slots[m_slot],
+                     r_row, r_sign * slots[r_slot])
+
+
 class TwoPhaseAssembler:
     """Preallocated two-phase assembly for one circuit.
 
@@ -138,7 +276,12 @@ class TwoPhaseAssembler:
     Elements whose stamp reads the Newton iterate must declare
     ``nonlinear = True`` (the documented contract of
     :attr:`Element.nonlinear`); everything else is stamped once per
-    step.
+    step.  When every such static element is a plain
+    :class:`VoltageSource`, :class:`CurrentSource`, :class:`Resistor`
+    or :class:`Capacitor`, the static phase is array-stamped from
+    index templates (:class:`_LinearStamps`, bit-identical to the
+    element loop); any other static type (an ``Inductor``, a user
+    subclass) keeps the per-element ``stamp`` loop for all of them.
 
     Parameters
     ----------
@@ -163,6 +306,13 @@ class TwoPhaseAssembler:
         self.n = n
         self.backend = resolve_backend(backend, n)
         self._static = [el for el in circuit.elements if not el.nonlinear]
+        #: array-stamped static phase, or None when some static element
+        #: is not a plain source, resistor or capacitor (the
+        #: per-element loop then stamps them all)
+        self._linear: Optional[_LinearStamps] = (
+            _LinearStamps(self._static)
+            if all(type(el) in _LinearStamps.TYPES for el in self._static)
+            else None)
         dynamic = [el for el in circuit.elements if el.nonlinear]
         slab_els = [
             el for el in dynamic
@@ -224,8 +374,7 @@ class TwoPhaseAssembler:
             ctx.method = method
             ctx.gmin = gmin
             ctx.source_scale = source_scale
-            for el in self._static:
-                el.stamp(ctx)
+            self._stamp_static(ctx)
             if self.slab is not None:
                 self.slab.begin_step(ctx)
             self._static_dirty = True
@@ -246,11 +395,17 @@ class TwoPhaseAssembler:
         )
         self._static_matrix[:] = 0.0
         self._static_rhs[:] = 0.0
-        for el in self._static:
-            el.stamp(ctx)
+        self._stamp_static(ctx)
         if self.slab is not None:
             self.slab.begin_step(ctx)
         self._ctx = ctx
+
+    def _stamp_static(self, ctx: StampContext) -> None:
+        if self._linear is not None:
+            self._linear.stamp(ctx)
+        else:
+            for el in self._static:
+                el.stamp(ctx)
 
     def iterate(self, x: np.ndarray,
                 reuse_tol: float = 0.0) -> StampContext:

@@ -153,7 +153,8 @@ class _LuSymbolic:
     """
 
     __slots__ = ("n", "indices", "indptr", "pr", "prinv", "pc", "pcinv",
-                 "lp", "li", "lx", "up", "ui", "ux", "work", "refreshes")
+                 "lp", "li", "lx", "up", "ui", "ux", "work", "refreshes",
+                 "_kaddr")
 
     def __init__(self, n: int, indices: np.ndarray,
                  indptr: np.ndarray) -> None:
@@ -162,6 +163,9 @@ class _LuSymbolic:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.work = np.zeros(n)
         self.refreshes = 0
+        #: buffer addresses bound by the compiled kernel tier; reset
+        #: whenever :meth:`refresh` rebinds the arrays
+        self._kaddr = None
 
     def refresh(self, matrix) -> None:
         """Rebuild patterns/permutations from a fresh ``splu`` of
@@ -183,6 +187,7 @@ class _LuSymbolic:
         self.up = upper.indptr.astype(np.int64)
         self.ui = upper.indices.astype(np.int64)
         self.ux = np.ascontiguousarray(upper.data)
+        self._kaddr = None
         self.refreshes += 1
 
 

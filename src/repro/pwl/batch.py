@@ -352,7 +352,8 @@ class StackedCurves:
     devices the lanes hold.
     """
 
-    __slots__ = ("bps", "coeffs", "dcoeffs", "n_lanes", "_lanes")
+    __slots__ = ("bps", "coeffs", "dcoeffs", "n_lanes", "_lanes",
+                 "_kaddr")
 
     def __init__(self, curves) -> None:
         n_lanes = len(curves)
@@ -376,15 +377,16 @@ class StackedCurves:
                     if j:
                         self.dcoeffs[lane, region, j - 1] = j * c
         self._lanes = np.arange(n_lanes)
+        #: table addresses bound by the compiled kernel tier
+        self._kaddr = None
 
     def value(self, v: np.ndarray,
               idx: Optional[np.ndarray] = None) -> np.ndarray:
         """``Q(v)`` per lane; ``idx`` selects a lane subset (``v`` then
-        carries one entry per selected lane)."""
-        rows = self._lanes if idx is None else idx
-        region = (self.bps[rows] < v[:, None]).sum(axis=1)
-        c = self.coeffs[rows, region]
-        return ((c[:, 3] * v + c[:, 2]) * v + c[:, 1]) * v + c[:, 0]
+        carries one entry per selected lane).  Evaluated by the active
+        kernel tier (bit-identical across tiers)."""
+        from repro.pwl.kernels import active_kernel_backend
+        return active_kernel_backend().curve_value(self, v, idx)
 
     def derivative(self, v: np.ndarray,
                    idx: Optional[np.ndarray] = None) -> np.ndarray:
@@ -459,6 +461,8 @@ class StackedVscSolver:
         self.hi_edges = np.concatenate(
             [self.bps, np.full((n_lanes, 1), np.inf)], axis=1)
         self._lanes = np.arange(n_lanes)
+        #: table addresses bound by the compiled kernel tier
+        self._kaddr = None
 
     def solve(self, vgs: np.ndarray, vds: np.ndarray, hint: np.ndarray,
               idx: Optional[np.ndarray] = None,

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.errors import FittingError, ParameterError
 from repro.physics.charge import ChargeModel
@@ -333,6 +332,10 @@ def fit_piecewise_charge(
 
     boundaries_rel = list(spec.boundaries_rel)
     if optimize_boundaries:
+        # imported here: scipy.optimize costs ~0.35 s of cold start and
+        # only boundary optimisation uses it
+        from scipy.optimize import minimize
+
         window = spec.window_rel
         margin = 0.01
 

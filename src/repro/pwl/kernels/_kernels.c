@@ -8,7 +8,9 @@
  *      plus residual validation of StackedVscSolver.solve;
  *   2. cnfet_companion    — the stacked companion-model bank evaluation
  *      of _StackedCNFETBank._companion (currents, analytic small-signal
- *      and charge partials, companion residuals);
+ *      and charge partials, companion residuals), plus
+ *      stacked_curve_value, the charge-curve bank lookup of
+ *      StackedCurves.value;
  *   3. scatter_add_pad / triplet_append / scatter_accum — the dense
  *      bincount and sparse-triplet scatter-add stamping primitives;
  *   4. lu_refactor / lu_solve_factored / csc_residual_inf — frozen-
@@ -251,6 +253,22 @@ static double curve_derivative(const double *bps_r,
     int region = region_of(bps_r, k_bps, v);
     const double *c = dcoeffs_r + (idx_t)region * 3;
     return (c[2] * v + c[1]) * v + c[0];
+}
+
+/* Stacked curve bank value Q(v) per lane (StackedCurves.value): row
+ * k evaluates lane rows[k], or lane k when rows is NULL.  Region
+ * lookup and Horner match the numpy gather bit for bit (no
+ * transcendentals involved). */
+void stacked_curve_value(idx_t n, const idx_t *rows, const double *v,
+                         const double *cbps, const double *ccoeffs,
+                         idx_t k_bps, double *out)
+{
+    idx_t stride_c = (k_bps + 1) * 4;
+    for (idx_t k = 0; k < n; k++) {
+        idx_t r = rows ? rows[k] : k;
+        out[k] = curve_value(cbps + r * k_bps, ccoeffs + r * stride_c,
+                             k_bps, v[k]);
+    }
 }
 
 /* Companion stamp values around given biases; vsc comes from kernel 1

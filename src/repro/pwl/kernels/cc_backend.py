@@ -27,7 +27,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -118,49 +117,39 @@ def _build_library() -> ctypes.CDLL:
 
 
 def _declare(lib: ctypes.CDLL) -> None:
+    # Pointers are declared ``c_void_p`` so a call passes plain integer
+    # addresses: bound table addresses (see :func:`_bound`) and
+    # ``ndarray.ctypes.data`` for per-call arrays, never a
+    # ``data_as`` pointer object.
     c_idx = ctypes.c_int64
-    p_d = ctypes.POINTER(ctypes.c_double)
-    p_i = ctypes.POINTER(ctypes.c_int64)
+    p = ctypes.c_void_p
     lib.stacked_vsc_solve.restype = c_idx
     lib.stacked_vsc_solve.argtypes = [
-        c_idx, p_i, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d,
-        c_idx, p_d, p_d, p_i,
+        c_idx, p, p, p, p, p, p, p, p, p, p, c_idx, p, p, p,
     ]
     lib.cnfet_companion.restype = None
     lib.cnfet_companion.argtypes = [
-        c_idx, p_i, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d, p_d,
-        p_d, p_d, p_d, p_d, c_idx, c_idx, p_d,
-        ctypes.c_double, ctypes.c_int, ctypes.c_double, p_d, p_d,
+        c_idx, p, p, p, p, p, p, p, p, p, p, p, p, p, p, p, c_idx, c_idx,
+        p, ctypes.c_double, ctypes.c_int, ctypes.c_double, p, p,
+    ]
+    lib.stacked_curve_value.restype = None
+    lib.stacked_curve_value.argtypes = [
+        c_idx, p, p, p, p, c_idx, p,
     ]
     lib.scatter_add_pad.restype = None
-    lib.scatter_add_pad.argtypes = [p_d, c_idx, p_i, p_d, c_idx]
+    lib.scatter_add_pad.argtypes = [p, c_idx, p, p, c_idx]
     lib.triplet_append.restype = c_idx
-    lib.triplet_append.argtypes = [p_i, p_d, c_idx, c_idx, p_i, p_d]
+    lib.triplet_append.argtypes = [p, p, c_idx, c_idx, p, p]
     lib.scatter_accum.restype = None
-    lib.scatter_accum.argtypes = [p_d, p_i, p_d, c_idx]
+    lib.scatter_accum.argtypes = [p, p, p, c_idx]
     lib.lu_refactor.restype = c_idx
-    lib.lu_refactor.argtypes = [
-        c_idx, p_i, p_i, p_d, p_i, p_i,
-        p_i, p_i, p_d, p_i, p_i, p_d, p_d,
-    ]
+    lib.lu_refactor.argtypes = [c_idx, p, p, p, p, p, p, p, p, p, p, p, p]
     lib.lu_solve_factored.restype = None
     lib.lu_solve_factored.argtypes = [
-        c_idx, p_i, p_i, p_d, p_i, p_i, p_d, p_i, p_i, p_d, p_d, p_d,
+        c_idx, p, p, p, p, p, p, p, p, p, p, p,
     ]
     lib.csc_residual_inf.restype = ctypes.c_double
-    lib.csc_residual_inf.argtypes = [c_idx, p_i, p_i, p_d, p_d, p_d, p_d]
-
-
-_P_D = ctypes.POINTER(ctypes.c_double)
-_P_I = ctypes.POINTER(ctypes.c_int64)
-
-
-def _pd(a: np.ndarray):
-    return a.ctypes.data_as(_P_D)
-
-
-def _pi(a: np.ndarray):
-    return a.ctypes.data_as(_P_I)
+    lib.csc_residual_inf.argtypes = [c_idx, p, p, p, p, p, p]
 
 
 def _as_f64(a: np.ndarray) -> np.ndarray:
@@ -171,38 +160,37 @@ def _as_i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-class _PtrCache:
-    """Identity-keyed LRU of ctypes pointers.
+#: table attributes whose addresses each kind of persistent owner
+#: binds, in kernel-argument order
+_SOLVER_TABLES = ("bps", "lo_edges", "hi_edges", "polys", "cg", "cd",
+                  "csum")
+_BANK_TABLES = ("sign", "length", "kt", "ef", "pref", "cg", "cd", "csum",
+                "q_prev")
+_CURVE_TABLES = ("bps", "coeffs", "dcoeffs")
+_LU_TABLES = ("indptr", "indices", "pr", "pcinv", "lp", "li", "lx",
+              "up", "ui", "ux", "work", "prinv", "pc")
 
-    ``ndarray.ctypes.data_as`` costs ~8 us per call; a hot solve
-    marshals ~20 *persistent* arrays (solver/bank parameter tables)
-    per Newton iteration, so their pointers are cached by object
-    identity.  The cache holds a strong reference to each keyed array,
-    which both pins the buffer and keeps the id stable; per-call
-    arrays simply churn through the LRU tail.
+
+def _bound(owner, names: Tuple[str, ...]) -> Tuple[int, ...]:
+    """Buffer addresses of ``owner``'s persistent tables.
+
+    ``ndarray.ctypes.data`` costs microseconds per call and a hot
+    solve passes ~20 persistent tables per Newton iteration, so each
+    owner (:class:`~repro.pwl.batch.StackedVscSolver`,
+    :class:`~repro.pwl.batch.StackedCurves`, the CNFET banks and
+    :class:`~repro.circuit.solvers._LuSymbolic`) carries its own
+    addresses in a ``_kaddr`` attribute, filled on the first compiled
+    call.  The owner keeps the arrays alive, so the addresses live
+    exactly as long as it does and nothing process-global pins them.
+    An owner that rebinds one of its tables must reset ``_kaddr`` to
+    ``None`` (``_LuSymbolic.refresh`` does); the tables are otherwise
+    only written in place.
     """
-
-    def __init__(self, cap: int = 128) -> None:
-        self._cap = cap
-        self._map: "OrderedDict" = OrderedDict()
-
-    def _get(self, a: np.ndarray, typ):
-        key = (id(a), typ is _P_I)
-        hit = self._map.get(key)
-        if hit is not None and hit[0] is a:
-            self._map.move_to_end(key)
-            return hit[1]
-        p = a.ctypes.data_as(typ)
-        self._map[key] = (a, p)
-        if len(self._map) > self._cap:
-            self._map.popitem(last=False)
-        return p
-
-    def pd(self, a: np.ndarray):
-        return self._get(a, _P_D)
-
-    def pi(self, a: np.ndarray):
-        return self._get(a, _P_I)
+    addrs = owner._kaddr
+    if addrs is None:
+        addrs = owner._kaddr = tuple(
+            getattr(owner, name).ctypes.data for name in names)
+    return addrs
 
 
 class CcKernelBackend:
@@ -213,7 +201,6 @@ class CcKernelBackend:
 
     def __init__(self) -> None:
         self._lib = build_library()
-        self._ptrs = _PtrCache()
 
     # -- kernel 1: stacked VSC solve -----------------------------------
 
@@ -225,14 +212,11 @@ class CcKernelBackend:
         vgs = _as_f64(vgs)
         vds = _as_f64(vds)
         bad = np.empty(n, dtype=np.int64)
-        cp = self._ptrs
+        bps, lo, hi, polys, cg, cd, csum = _bound(solver, _SOLVER_TABLES)
         n_bad = self._lib.stacked_vsc_solve(
-            n, cp.pi(rows64), _pd(vgs), _pd(vds),
-            cp.pd(solver.bps), cp.pd(solver.lo_edges),
-            cp.pd(solver.hi_edges), cp.pd(solver.polys),
-            cp.pd(solver.cg), cp.pd(solver.cd),
-            cp.pd(solver.csum), solver.bps.shape[1],
-            cp.pd(hint), _pd(out), _pi(bad),
+            n, rows64.ctypes.data, vgs.ctypes.data, vds.ctypes.data,
+            bps, lo, hi, polys, cg, cd, csum, solver.bps.shape[1],
+            hint.ctypes.data, out.ctypes.data, bad.ctypes.data,
         )
         return bad[:n_bad]
 
@@ -250,21 +234,34 @@ class CcKernelBackend:
         curves = bank.curves
         values = np.empty((17 if tran else 8, n))
         rhs_values = np.empty((5 if tran else 2, n))
-        cp = self._ptrs
+        sign, length, kt, ef, pref, cg, cd, csum, q_prev = _bound(
+            bank, _BANK_TABLES)
+        cbps, coeffs, dcoeffs = _bound(curves, _CURVE_TABLES)
         self._lib.cnfet_companion(
-            n, cp.pi(didx64), _pd(vsc), _pd(vgs), _pd(vds),
-            cp.pd(bank.sign), cp.pd(bank.length), cp.pd(bank.kt),
-            cp.pd(bank.ef), cp.pd(bank.pref), cp.pd(bank.cg),
-            cp.pd(bank.cd), cp.pd(bank.csum),
-            cp.pd(curves.bps), cp.pd(curves.coeffs),
-            cp.pd(curves.dcoeffs),
-            curves.bps.shape[0], curves.bps.shape[1],
-            cp.pd(bank.q_prev),
+            n, didx64.ctypes.data, vsc.ctypes.data, vgs.ctypes.data,
+            vds.ctypes.data, sign, length, kt, ef, pref, cg, cd, csum,
+            cbps, coeffs, dcoeffs,
+            curves.bps.shape[0], curves.bps.shape[1], q_prev,
             float(gmin), int(bool(tran)),
             float(dt) if dt is not None else 0.0,
-            _pd(values), _pd(rhs_values),
+            values.ctypes.data, rhs_values.ctypes.data,
         )
         return values, rhs_values
+
+    def curve_value(self, curves, v: np.ndarray,
+                    idx: Optional[np.ndarray]) -> np.ndarray:
+        """``Q(v)`` per lane of a :class:`~repro.pwl.batch.StackedCurves`
+        bank (``idx`` selects a lane subset)."""
+        v = _as_f64(v)
+        if v.size != (curves.n_lanes if idx is None else len(idx)):
+            raise ValueError("curve_value: one v entry per selected lane")
+        out = np.empty(v.size)
+        rows = None if idx is None else _as_i64(idx).ctypes.data
+        cbps, coeffs, _dcoeffs = _bound(curves, _CURVE_TABLES)
+        self._lib.stacked_curve_value(
+            v.size, rows, v.ctypes.data, cbps, coeffs,
+            curves.bps.shape[1], out.ctypes.data)
+        return out
 
     # -- kernel 3: scatter-add stamping --------------------------------
 
@@ -272,8 +269,9 @@ class CcKernelBackend:
                         m_val: np.ndarray) -> None:
         m_idx = _as_i64(m_idx)
         m_val = _as_f64(m_val)
-        self._lib.scatter_add_pad(_pd(out), out.size, _pi(m_idx),
-                                  _pd(m_val), m_idx.size)
+        self._lib.scatter_add_pad(out.ctypes.data, out.size,
+                                  m_idx.ctypes.data, m_val.ctypes.data,
+                                  m_idx.size)
 
     def triplet_append(self, m_idx: np.ndarray, m_val: np.ndarray,
                        dim2: int, out_idx: np.ndarray,
@@ -281,8 +279,8 @@ class CcKernelBackend:
         m_idx = _as_i64(m_idx)
         m_val = _as_f64(m_val)
         kept = self._lib.triplet_append(
-            _pi(m_idx), _pd(m_val), m_idx.size, dim2,
-            _pi(out_idx[offset:]), _pd(out_val[offset:]),
+            m_idx.ctypes.data, m_val.ctypes.data, m_idx.size, dim2,
+            out_idx[offset:].ctypes.data, out_val[offset:].ctypes.data,
         )
         return int(kept)
 
@@ -291,8 +289,8 @@ class CcKernelBackend:
         data = base.copy()
         map_idx = _as_i64(map_idx)
         values = _as_f64(values)
-        self._lib.scatter_accum(_pd(data), _pi(map_idx), _pd(values),
-                                map_idx.size)
+        self._lib.scatter_accum(data.ctypes.data, map_idx.ctypes.data,
+                                values.ctypes.data, map_idx.size)
         return data
 
     # -- kernel 4: frozen-pivot LU refactorization ---------------------
@@ -306,24 +304,21 @@ class CcKernelBackend:
         contiguous).  Returns 0 on success, a 1-based column index on
         a zero pivot — the caller refreshes the symbolics.
         """
-        cp = self._ptrs
+        ap, ai, pr, pcinv, lp, li, lx, up, ui, ux, work, _prinv, _pc = \
+            _bound(sym, _LU_TABLES)
         return int(self._lib.lu_refactor(
-            sym.n, cp.pi(sym.indptr), cp.pi(sym.indices), _pd(data),
-            cp.pi(sym.pr), cp.pi(sym.pcinv),
-            cp.pi(sym.lp), cp.pi(sym.li), cp.pd(sym.lx),
-            cp.pi(sym.up), cp.pi(sym.ui), cp.pd(sym.ux),
-            cp.pd(sym.work)))
+            sym.n, ap, ai, data.ctypes.data, pr, pcinv,
+            lp, li, lx, up, ui, ux, work))
 
     def lu_solve(self, sym, rhs: np.ndarray) -> np.ndarray:
         """Permute-forward-backward solve from ``lu_refactor``."""
         rhs = _as_f64(rhs)
         out = np.empty(sym.n)
-        cp = self._ptrs
+        _ap, _ai, _pr, _pcinv, lp, li, lx, up, ui, ux, work, prinv, pc = \
+            _bound(sym, _LU_TABLES)
         self._lib.lu_solve_factored(
-            sym.n, cp.pi(sym.lp), cp.pi(sym.li), cp.pd(sym.lx),
-            cp.pi(sym.up), cp.pi(sym.ui), cp.pd(sym.ux),
-            cp.pi(sym.prinv), cp.pi(sym.pc),
-            _pd(rhs), _pd(out), cp.pd(sym.work))
+            sym.n, lp, li, lx, up, ui, ux, prinv, pc,
+            rhs.ctypes.data, out.ctypes.data, work)
         return out
 
     def csc_residual(self, sym, data: np.ndarray, x: np.ndarray,
@@ -331,7 +326,8 @@ class CcKernelBackend:
         """``max|A x - rhs|`` — the staleness guard of the lane."""
         x = _as_f64(x)
         rhs = _as_f64(rhs)
-        cp = self._ptrs
+        addrs = _bound(sym, _LU_TABLES)
+        ap, ai, work = addrs[0], addrs[1], addrs[10]
         return float(self._lib.csc_residual_inf(
-            sym.n, cp.pi(sym.indptr), cp.pi(sym.indices), _pd(data),
-            _pd(x), _pd(rhs), cp.pd(sym.work)))
+            sym.n, ap, ai, data.ctypes.data, x.ctypes.data,
+            rhs.ctypes.data, work))

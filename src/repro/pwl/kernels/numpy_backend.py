@@ -2,9 +2,9 @@
 
 These are the vectorized implementations the engine has always run
 (moved here verbatim from ``StackedVscSolver.solve``,
-``_StackedCNFETBank._companion`` and the ``add_flat`` stamping
-primitives), so selecting ``kernels="numpy"`` reproduces the historical
-waveforms bit for bit.  The compiled tier
+``_StackedCNFETBank._companion``, ``StackedCurves.value`` and the
+``add_flat`` stamping primitives), so selecting ``kernels="numpy"``
+reproduces the historical waveforms bit for bit.  The compiled tier
 (:mod:`repro.pwl.kernels.cc_backend`) mirrors this arithmetic lane by
 lane; see :doc:`/kernels` for the parity contract.
 """
@@ -141,7 +141,7 @@ class NumpyKernelBackend:
         if tran:
             # Charge companions (vectorized ``_stamp_charges``).
             length = bank.length[didx]
-            q_d_mobile = bank.curves.value(vsc + vds, idx=didx)
+            q_d_mobile = self.curve_value(bank.curves, vsc + vds, didx)
             qg = length * cg * (vgs + vsc)
             qd = length * (cd * (vds + vsc) - q_d_mobile)
             q0 = (qg, qd, -(qg + qd))
@@ -164,6 +164,16 @@ class NumpyKernelBackend:
                     - geq_ds * sign * vds
                 )
         return values, rhs_values
+
+    def curve_value(self, curves, v: np.ndarray,
+                    idx: Optional[np.ndarray]) -> np.ndarray:
+        """``Q(v)`` per lane of a :class:`~repro.pwl.batch.StackedCurves`
+        bank; ``idx`` selects a lane subset (``v`` then carries one
+        entry per selected lane)."""
+        rows = curves._lanes if idx is None else idx
+        region = (curves.bps[rows] < v[:, None]).sum(axis=1)
+        c = curves.coeffs[rows, region]
+        return ((c[:, 3] * v + c[:, 2]) * v + c[:, 1]) * v + c[:, 0]
 
     # -- kernel 3: scatter-add stamping --------------------------------
 

@@ -1,5 +1,9 @@
 """Piecewise charge fitting (paper §IV)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,3 +159,19 @@ class TestAcrossConditions:
         ))
         fitted = build_model2(model.charge)
         assert fitted.rms_error_relative < 0.05
+
+
+def test_engine_import_leaves_scipy_optimize_unloaded():
+    """Only boundary optimisation needs ``scipy.optimize`` (~0.35 s of
+    cold start), so importing the engine must not load it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import repro.circuit.transient, repro.circuit.batch_sim\n"
+        "import repro.variability.campaign, repro.circuit.logic\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['scipy', 'optimize']))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

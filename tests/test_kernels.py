@@ -164,6 +164,39 @@ class TestKernelParity:
         assert np.array_equal(results[0][1], results[1][1])
         assert np.array_equal(results[0][2], results[1][2])
 
+    def test_curve_value_bitwise(self):
+        """The compiled charge-curve lookup is the numpy gather bit for
+        bit: exact breakpoints, the ``+inf`` pad past a lane's last
+        breakpoint, NaN, lane subsets, and lanes whose breakpoint
+        counts differ."""
+        _require_compiled()
+        from repro.pwl.batch import StackedCurves
+
+        curves = [CNFET(default_device_parameters(), model=m).fitted.curve
+                  for m in ("model1", "model2", "model1")]
+        assert len({len(c.breakpoints) for c in curves}) > 1
+        bank = StackedCurves(curves)
+        bps = np.concatenate([c.breakpoints for c in curves])
+        grid = np.concatenate([np.linspace(-1.5, 1.5, 301), bps,
+                               [np.nan, np.inf, -np.inf, 10.0]])
+        numpy_tier = resolve_kernel_backend("numpy")
+        compiled = resolve_kernel_backend("compiled")
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, bank.n_lanes, size=grid.size)
+        # inf * 0 in the Horner pass warns; both tiers return NaN there
+        with np.errstate(invalid="ignore"):
+            for v0 in grid:
+                v = np.full(bank.n_lanes, v0)
+                assert np.array_equal(numpy_tier.curve_value(bank, v, None),
+                                      compiled.curve_value(bank, v, None),
+                                      equal_nan=True)
+            ref = numpy_tier.curve_value(bank, grid, idx)
+            assert np.array_equal(compiled.curve_value(bank, grid, idx),
+                                  ref, equal_nan=True)
+            with using_kernels("compiled"):
+                assert np.array_equal(bank.value(grid, idx=idx), ref,
+                                      equal_nan=True)
+
     def test_scatter_accum_close(self):
         _require_compiled()
         rng = np.random.default_rng(4)
@@ -297,6 +330,41 @@ class TestRefactorLane:
             np.testing.assert_allclose(dense2 @ x2, rhs, rtol=0,
                                        atol=1e-9 * np.abs(rhs).max())
 
+    def test_refresh_rebinds_addresses(self):
+        """``refresh`` rebinds every L/U array; the compiled kernels
+        must then read and write the new buffers, not the freed ones
+        whose addresses were bound before."""
+        _require_compiled()
+        pytest.importorskip("scipy")
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        from repro.circuit.solvers import SparseBackend
+
+        rng = np.random.default_rng(14)
+        n = 30
+        data, indices, indptr, _dense = self._random_csc(n, rng)
+        rhs = rng.standard_normal(n)
+        backend = SparseBackend()
+
+        def reference(values):
+            matrix = csc_matrix((values, indices, indptr), shape=(n, n))
+            return splu(matrix).solve(rhs)
+
+        with using_kernels("compiled") as kern:
+            sym = backend.factorize_csc(n, data, indices, indptr).sym
+            kern.lu_solve(sym, rhs)         # binds the first buffers
+            data2 = data * (1.0 + 0.5 * rng.standard_normal(data.size))
+            sym.refresh(backend._template(n, data2, indices, indptr))
+            np.testing.assert_allclose(kern.lu_solve(sym, rhs),
+                                       reference(data2), rtol=1e-9,
+                                       atol=1e-12)
+            data3 = data2 * (1.0 + 1e-3 * rng.standard_normal(data.size))
+            assert kern.lu_refactor(sym, data3) == 0
+            np.testing.assert_allclose(kern.lu_solve(sym, rhs),
+                                       reference(data3), rtol=1e-9,
+                                       atol=1e-12)
+
     def test_numpy_tier_takes_plain_superlu(self):
         pytest.importorskip("scipy")
         from repro.circuit.solvers import SparseBackend
@@ -326,6 +394,33 @@ class TestRefactorLane:
             with pytest.raises(AnalysisError):
                 backend.factorize_csc(n, np.zeros_like(data), indices,
                                       indptr)
+
+
+def test_dropped_assembler_is_collected(family):
+    """Bound kernel addresses live on their owners: no process-global
+    map may keep an assembler, its CNFET slab, its VSC solver or its
+    LU symbolics alive after the caller drops them."""
+    _require_compiled()
+    import gc
+    import weakref
+
+    from repro.circuit.logic import build_inverter_chain
+    from repro.circuit.mna import TwoPhaseAssembler, newton_solve
+    from repro.circuit.solvers import SparseBackend
+
+    circuit, _out = build_inverter_chain(family, 4)
+    n = circuit.dimension()
+    with using_kernels("compiled"):
+        asm = TwoPhaseAssembler(circuit, backend=SparseBackend(),
+                                cnfet_slab=True)
+        x = newton_solve(circuit, np.zeros(n), assembler=asm)
+        newton_solve(circuit, x, analysis="tran", time=1e-12, dt=1e-12,
+                     x_prev=x, method="trap", assembler=asm)
+    owners = [asm, asm.slab, asm.slab.solver, asm.backend]
+    refs = [weakref.ref(obj) for obj in owners]
+    del asm, owners
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestWorkers:
